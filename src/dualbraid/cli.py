@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 contract violation,
+Exit codes: 0 success, 1 usage or parse failure, 2 contract violation
+(including an oracle reduction that outgrows its length ceiling),
 3 verification mismatch.
 """
 
@@ -13,7 +14,6 @@ from itertools import combinations
 
 from . import enumeration, garside, oracle, ordering, parser, rotating
 from .ordering import OrderResult
-from .words import ArtinWord, BandWord
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +57,7 @@ def _tree_to_json(tree) -> list:
 
 def _cmd_normalize(args) -> int:
     w = parser.parse_band_word(args.word, args.strands)
-    print(parser.format_band(rotating.rnf(w)))
+    print(rotating.rnf(w))
     return EXIT_OK
 
 
@@ -77,7 +77,7 @@ def _cmd_split(args) -> int:
     w = parser.parse_band_word(args.word, args.strands)
     split = rotating.splitting(w)
     for entry in split.entries:
-        print(parser.format_band(rotating.rnf(entry)))
+        print(rotating.rnf(entry))
     return EXIT_OK
 
 
@@ -95,6 +95,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_enum_verify(args) -> int:
     n, max_length = args.strands, args.max_length
+    if max_length < 0:
+        raise ValueError("--max-length must be non-negative")
     elements = enumeration.enumerate_elements(n, max_length)
     print(f"{len(elements)} elements of length <= {max_length} at n={n}")
     checked = failed = 0
@@ -136,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     except parser.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, oracle.ReductionOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

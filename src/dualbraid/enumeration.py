@@ -2,8 +2,8 @@
 
 These provide independent, brute-force counterparts to the algebraic
 machinery: exhaustive element enumeration up to a word length,
-congruence-class enumeration by relation rewriting, and divisor
-enumeration by suffix collection over a class.
+congruence-class enumeration by relation rewriting, and the tail in a
+submonoid by suffix collection over a class.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ def congruence_class(w: BandWord) -> set[tuple[BandLetter, ...]]:
                 seen.add(other)
                 frontier.append(other)
     return seen
-
-
-def brute_right_divisors(w: BandWord) -> set[tuple]:
-    """Canonical keys of every right divisor of w, by suffix enumeration."""
-    keys = set()
-    for word in congruence_class(w):
-        for k in range(len(word) + 1):
-            keys.add(garside.canonical_key(BandWord(w.n, word[k:])))
-    return keys
 
 
 def brute_tail(w: BandWord, m: int) -> BandWord:

@@ -1,10 +1,11 @@
-"""Greedy normal form, equality, divisibility and tails for band words.
+"""Right-greedy normal form, equality, right division and tails for band words.
 
-Equality of band words is decided through the left-greedy normal form
+Equality of band words is decided through the right-greedy normal form
 over non-crossing partitions: two words represent the same monoid
-element exactly when their factor sequences coincide.  Left division is
-read off the first factor of the normal form; right division is
-obtained from left division through the flip anti-automorphism.
+element exactly when their factor sequences coincide.  The last factor
+is the maximal simple right divisor, so right division and the tail in
+an m-strand submonoid are both read off it.  The monoid is only ever
+divided on the right.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 
 from . import ncp
 from .ncp import NonCrossingPartition
-from .words import BandLetter, BandWord, flip_reverse
+from .words import BandWord
 
 
 @dataclass(frozen=True)
 class GreedyNF:
-    """Left-greedy factorization; the empty factor list is the trivial braid."""
+    """Right-greedy factorization; the empty factor list is the trivial braid."""
 
     n: int
     factors: tuple[NonCrossingPartition, ...]
@@ -34,25 +35,33 @@ class GreedyNF:
 
 
 def _normalize(n: int, factors: list[NonCrossingPartition]) -> tuple[NonCrossingPartition, ...]:
-    # Bubble passes: slide the movable part of each factor into its left
-    # neighbour until every adjacent pair is left-weighted.
+    # Bubble passes: slide the movable part of each factor into its right
+    # neighbour until every adjacent pair is right-weighted.
     factors = [f for f in factors if not f.is_trivial()]
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 1):
             head, tail = factors[i], factors[i + 1]
-            slide = ncp.meet(ncp.right_complement(head), tail)
+            slide = ncp.meet(head, ncp.left_complement(tail))
             if not slide.is_trivial():
-                factors[i] = ncp.simple_product(head, slide)
-                factors[i + 1] = ncp.left_quotient(slide, tail)
+                factors[i] = ncp.right_quotient(head, slide)
+                factors[i + 1] = ncp.simple_product(slide, tail)
                 changed = True
         factors = [f for f in factors if not f.is_trivial()]
     return tuple(factors)
 
 
+def _divide_last(
+    n: int, factors: tuple[NonCrossingPartition, ...], simple: NonCrossingPartition
+) -> tuple[NonCrossingPartition, ...]:
+    # The last factor is the maximal simple right divisor: dividing a
+    # simple off it and re-normalizing gives the quotient's normal form.
+    return _normalize(n, [*factors[:-1], ncp.right_quotient(factors[-1], simple)])
+
+
 def gnf(w: BandWord) -> GreedyNF:
-    """The unique left-greedy normal form of the element represented by w."""
+    """The unique right-greedy normal form of the element represented by w."""
     factors = [ncp.letter_ncp(letter, w.n) for letter in w.letters]
     return GreedyNF(w.n, _normalize(w.n, factors))
 
@@ -69,70 +78,57 @@ def canonical_key(w: BandWord) -> tuple:
     return (w.n, tuple(f.blocks for f in gnf(w).factors))
 
 
-def left_divides(g: BandWord, w: BandWord) -> bool:
-    """True iff there is a positive u with w = g * u."""
-    return _left_quotient_or_none(w, g) is not None
-
-
-def left_quotient(w: BandWord, g: BandWord) -> BandWord:
-    """The positive u with w = g * u; raises if g does not left-divide w."""
-    quotient = _left_quotient_or_none(w, g)
-    if quotient is None:
-        raise ValueError("not a left divisor")
-    return quotient
-
-
-def _left_quotient_or_none(w: BandWord, g: BandWord) -> BandWord | None:
+def _right_quotient_or_none(w: BandWord, g: BandWord) -> GreedyNF | None:
     if w.n != g.n:
         raise ValueError("strand count mismatch")
-    factors = list(gnf(w).factors)
-    for letter in g.letters:
+    factors = gnf(w).factors
+    for letter in reversed(g.letters):
         simple = ncp.letter_ncp(letter, w.n)
-        if not factors:
+        # A generator divides the element iff it divides the last factor.
+        if not factors or not ncp.refines(simple, factors[-1]):
             return None
-        # The first factor is the maximal simple left divisor, so a
-        # generator divides the element iff it divides that factor.
-        if not ncp.refines(simple, factors[0]):
-            return None
-        factors[0] = ncp.left_quotient(simple, factors[0])
-        factors = list(_normalize(w.n, factors))
-    return GreedyNF(w.n, tuple(factors)).word()
+        factors = _divide_last(w.n, factors, simple)
+    return GreedyNF(w.n, factors)
 
 
 def right_divides(g: BandWord, w: BandWord) -> bool:
     """True iff there is a positive u with w = u * g."""
-    if w.n != g.n:
-        raise ValueError("strand count mismatch")
-    return left_divides(flip_reverse(g), flip_reverse(w))
+    return _right_quotient_or_none(w, g) is not None
 
 
 def right_quotient(w: BandWord, g: BandWord) -> BandWord:
     """The positive u with w = u * g; raises if g does not right-divide w."""
-    return flip_reverse(left_quotient(flip_reverse(w), flip_reverse(g)))
+    quotient = _right_quotient_or_none(w, g)
+    if quotient is None:
+        raise ValueError("not a right divisor")
+    return quotient.word()
+
+
+def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
+    """Split nf as remainder * tail, the tail maximal in the m-strand submonoid.
+
+    A generator a(p,q) with q <= m right-divides the element iff it
+    refines s, the meet of the last factor with the partition whose one
+    nontrivial block is {1..m}.  The submonoid is closed under right
+    quotients, so tail(w) = tail(w / s) * s; dividing such meets off
+    until one is trivial collects the tail.
+    """
+    n = nf.n
+    delta_m = NonCrossingPartition.from_blocks(
+        n, [range(1, m + 1), *([x] for x in range(m + 1, n + 1))]
+    )
+    factors, collected = nf.factors, []
+    while factors:
+        s = ncp.meet(factors[-1], delta_m)
+        if s.is_trivial():
+            break
+        factors = _divide_last(n, factors, s)
+        collected.append(s)
+    return GreedyNF(n, _normalize(n, collected[::-1])), GreedyNF(n, factors)
 
 
 def tail(w: BandWord, m: int) -> BandWord:
-    """Maximal right divisor of w whose letters all satisfy q <= m.
-
-    Greedy fixpoint: the right divisors lying in the m-strand submonoid
-    are closed under right lcm, so extracting any dividing generator and
-    recursing reaches the maximal one.
-    """
+    """Maximal right divisor of w whose letters all satisfy q <= m."""
     if not (2 <= m < w.n):
         raise ValueError("m must satisfy 2 <= m < n")
-    generators = [
-        BandLetter(p, q) for q in range(2, m + 1) for p in range(1, q)
-    ]
-    remainder = w
-    collected: list[BandLetter] = []
-    progress = True
-    while progress:
-        progress = False
-        for letter in generators:
-            g = BandWord(w.n, (letter,))
-            if right_divides(g, remainder):
-                remainder = right_quotient(remainder, g)
-                collected.insert(0, letter)
-                progress = True
-                break
-    return BandWord(w.n, tuple(collected))
+    return split_tail(gnf(w), m)[0].word()

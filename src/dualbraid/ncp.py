@@ -1,11 +1,12 @@
 """Non-crossing partitions as the simple elements of the dual braid monoid.
 
-A simple element (a left divisor of the Garside element) corresponds to
-a non-crossing partition of {1..n}.  The block {i1 < ... < ik} stands
-for the product a(i1,i2) a(i2,i3) ... a(i_{k-1},ik), whose underlying
-permutation is the descending cycle on the block.  All simple-element
-arithmetic (products, complements, meets, quotients) is carried out on
-the associated permutations and converted back to partitions.
+A simple element (a divisor of the Garside element, on either side)
+corresponds to a non-crossing partition of {1..n}.  The block
+{i1 < ... < ik} stands for the product a(i1,i2) a(i2,i3) ... a(i_{k-1},ik),
+whose underlying permutation is the descending cycle on the block.  All
+simple-element arithmetic (products, complements, meets, quotients) is
+carried out on the associated permutations and converted back to
+partitions; the rotation automorphism acts by shifting block elements.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def refines(p: NonCrossingPartition, q: NonCrossingPartition) -> bool:
 
 
 def meet(p: NonCrossingPartition, q: NonCrossingPartition) -> NonCrossingPartition:
-    """Common refinement; the lattice meet (left gcd of simples)."""
+    """Common refinement; the lattice meet (left and right gcd of simples)."""
     blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
     for x in range(1, p.n + 1):
         blocks.setdefault((p.block_of(x), q.block_of(x)), []).append(x)
@@ -143,7 +144,9 @@ def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCross
     """Product of simples, defined when the result is again simple."""
     perm = compose(ncp_to_perm(a), ncp_to_perm(b))
     result = perm_to_ncp(a.n, perm)
-    if result.length() != a.length() + b.length():
+    # perm_to_ncp keeps only the cycle supports, so the orientation of
+    # each cycle is checked by mapping the partition back.
+    if result.length() != a.length() + b.length() or ncp_to_perm(result) != perm:
         raise ValueError("product of simples is not simple")
     return result
 
@@ -166,6 +169,22 @@ def left_quotient(t: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossi
         raise ValueError("not a left divisor")
     perm = compose(inverse(ncp_to_perm(t)), ncp_to_perm(b))
     return perm_to_ncp(b.n, perm)
+
+
+def right_quotient(b: NonCrossingPartition, t: NonCrossingPartition) -> NonCrossingPartition:
+    """The simple u with u * t = b; requires t to divide b."""
+    if not refines(t, b):
+        raise ValueError("not a right divisor")
+    perm = compose(ncp_to_perm(b), inverse(ncp_to_perm(t)))
+    return perm_to_ncp(b.n, perm)
+
+
+def rotate(part: NonCrossingPartition, k: int) -> NonCrossingPartition:
+    """The k-th power of the rotation automorphism: every point x moves to x+k mod n."""
+    n = part.n
+    return NonCrossingPartition.from_blocks(
+        n, [[(x - 1 + k) % n + 1 for x in block] for block in part.blocks]
+    )
 
 
 def ncp_word(part: NonCrossingPartition) -> BandWord:

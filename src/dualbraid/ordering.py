@@ -3,7 +3,8 @@
 At two strands, elements are powers of a(1,2) and compare by exponent.
 At n strands, elements compare by the ShortLex extension applied to
 their rotation splittings: shorter splitting first, then entrywise from
-the highest entry down, recursively one strand lower.
+the highest entry down, recursively one strand lower.  The recursion
+lives in rotating_key; comparing two elements compares their keys.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 
 from . import garside, rotating
-from .words import BandLetter, BandWord, band_word, widen
+from .words import BandWord, band_word, widen
 
 
 class OrderResult(enum.Enum):
@@ -28,36 +29,24 @@ class OrderResult(enum.Enum):
 
 
 def cmp_rotating(u: BandWord, v: BandWord) -> OrderResult:
-    """Compare two elements of the dual monoid in the rotating ordering."""
+    """Compare two elements of the dual monoid in the rotating ordering.
+
+    Words on different strand counts are widened to the larger one.
+    """
     if u.n != v.n:
         m = max(u.n, v.n)
         u, v = widen(u, m), widen(v, m)
-    n = u.n
-    if n == 2:
-        return OrderResult.of(len(garside.gnf(u).factors) - len(garside.gnf(v).factors))
-    if garside.equal(u, v):
-        return OrderResult.EQUAL
-    su, sv = rotating.splitting(u), rotating.splitting(v)
-    if su.trivial:
-        return OrderResult.LESS
-    if sv.trivial:
-        return OrderResult.GREATER
-    if su.breadth != sv.breadth:
-        return OrderResult.of(su.breadth - sv.breadth)
-    for eu, ev in zip(su.entries, sv.entries):
-        verdict = cmp_rotating(eu, ev)
-        if verdict is not OrderResult.EQUAL:
-            return verdict
-    return OrderResult.EQUAL
+    ku, kv = rotating_key(u), rotating_key(v)
+    return OrderResult.of((ku > kv) - (ku < kv))
 
 
 def rotating_key(w: BandWord):
     """A sort key realizing the rotating ordering.
 
     The key of a two-strand element is its exponent; the key of an
-    n-strand element is (breadth, key(entry_b), ..., key(entry_1)).
-    Comparing keys is equivalent to cmp_rotating but lets a corpus be
-    ranked with one splitting-tree computation per element.
+    n-strand element is (breadth, key(entry_b), ..., key(entry_1)); the
+    trivial braid gets (0,), below every breadth.  Sorting by key ranks a
+    corpus with one splitting-tree computation per element.
     """
     if w.n == 2:
         return len(garside.gnf(w).factors)

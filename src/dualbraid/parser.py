@@ -93,10 +93,3 @@ def _check_band(p: int, q: int, n: int, pos: int) -> None:
     if not (1 <= p < q <= n):
         raise ParseError(f"a({p},{q}) out of range for {n} strands", pos)
 
-
-def format_band(w: BandWord) -> str:
-    return str(w)
-
-
-def format_artin(w: ArtinWord) -> str:
-    return str(w)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import garside
+from . import garside, ncp
 from .words import (
     ArtinLetter,
     ArtinWord,
@@ -48,17 +48,17 @@ def splitting(w: BandWord) -> Splitting:
     n = w.n
     if n < 3:
         raise ValueError("splitting requires at least 3 strands")
-    if garside.gnf(w).factors == ():
+    remainder = garside.gnf(w)
+    if not remainder.factors:
         return Splitting(n, (BandWord(n - 1),), trivial=True)
     entries: list[BandWord] = []
-    remainder = w
     while True:
-        part = garside.tail(remainder, n - 1)
-        entries.append(narrow(part, n - 1))
-        remainder = garside.right_quotient(remainder, part)
-        if garside.gnf(remainder).factors == ():
+        part, remainder = garside.split_tail(remainder, n - 1)
+        entries.append(narrow(part.word(), n - 1))
+        if not remainder.factors:
             break
-        remainder = phi(n, -1, remainder)
+        # phi^-1 is an automorphism, so it maps a normal form to a normal form.
+        remainder = garside.GreedyNF(n, tuple(ncp.rotate(f, -1) for f in remainder.factors))
     return Splitting(n, tuple(reversed(entries)))
 
 

@@ -178,15 +178,3 @@ def narrow(w: BandWord, n: int) -> BandWord:
         raise ValueError(f"word does not fit in {n} strands")
     return BandWord(n, w.letters)
 
-
-def flip_reverse(w: BandWord) -> BandWord:
-    """The anti-automorphism a(p,q) -> a(n+1-q, n+1-p) composed with reversal.
-
-    It exchanges left and right divisibility, which lets the left-greedy
-    machinery answer right-division queries.
-    """
-    n = w.n
-    return BandWord(
-        n,
-        tuple(BandLetter(n + 1 - l.q, n + 1 - l.p) for l in reversed(w.letters)),
-    )

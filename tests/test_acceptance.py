@@ -62,9 +62,9 @@ def test_criterion_1_ordering_equivalence(corpus3, corpus4):
             expected = _key_verdict(keys[i], keys[j])
             if cmp_dehornoy(corpus[i], corpus[j]) is not expected:
                 mismatches += 1
-            # The key ordering is cross-checked against the recursive
-            # comparator directly: exhaustively on the 3-strand corpus,
-            # on a random sample of pairs on the 4-strand corpus.
+            # The public comparator is checked against the precomputed
+            # keys: exhaustively on the 3-strand corpus, on a random
+            # sample of pairs on the 4-strand corpus.
             if spot is None or idx in spot:
                 if cmp_rotating(corpus[i], corpus[j]) is not expected:
                     mismatches += 1

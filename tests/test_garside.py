@@ -8,13 +8,12 @@ from dualbraid import enumeration
 from dualbraid.garside import (
     equal,
     gnf,
-    left_divides,
-    left_quotient,
     right_divides,
     right_quotient,
+    split_tail,
     tail,
 )
-from dualbraid.ncp import full_ncp, letter_ncp
+from dualbraid.ncp import full_ncp, left_complement, meet
 from dualbraid.words import (
     BandLetter,
     BandWord,
@@ -102,6 +101,14 @@ def test_push_rule(n):
             assert equal(delta * phi(n, k, w), phi(n, k + 1, w) * delta)
 
 
+def test_gnf_factors_are_right_weighted():
+    # No part of a factor can slide into its right neighbour.
+    for w in enumeration.enumerate_elements(4, 3):
+        factors = gnf(w).factors
+        for head, tail_factor in zip(factors, factors[1:]):
+            assert meet(head, left_complement(tail_factor)).is_trivial()
+
+
 def test_gnf_is_a_congruence_invariant():
     for w in enumeration.enumerate_elements(4, 3):
         for rewritten in enumeration._rewrites(w.letters):
@@ -138,15 +145,6 @@ def test_right_quotient_recombines():
                 assert equal(right_quotient(w, gw) * gw, w)
 
 
-def test_left_division_consistency():
-    d4 = delta_word(1, 4, 4)
-    assert left_divides(band_word(4, [(1, 2)]), d4)
-    assert equal(
-        band_word(4, [(1, 2)]) * left_quotient(d4, band_word(4, [(1, 2)])), d4
-    )
-    assert not left_divides(band_word(4, [(2, 3)]), band_word(4, [(1, 2)]))
-
-
 def test_tail_examples():
     assert tail(band_word(4, [(1, 4)]), 3).is_trivial_word()
     w = band_word(4, [(1, 3), (2, 3)])  # lives in the 3-strand submonoid
@@ -160,6 +158,13 @@ def test_tail_right_divides_and_strips():
         assert all(l.q <= 3 for l in t.letters)
         assert right_divides(t, w)
         assert tail(right_quotient(w, t), 3).is_trivial_word()
+
+
+def test_split_tail_recombines():
+    for w in enumeration.enumerate_elements(4, 3):
+        for m in (2, 3):
+            t, remainder = split_tail(gnf(w), m)
+            assert equal(remainder.word() * t.word(), w)
 
 
 def test_tail_matches_brute_force_small():

@@ -15,10 +15,12 @@ from dualbraid.ncp import (
     perm_to_ncp,
     refines,
     right_complement,
+    right_quotient,
+    rotate,
     simple_product,
     trivial_ncp,
 )
-from dualbraid.words import BandLetter, garside_word
+from dualbraid.words import BandLetter, garside_word, phi
 
 
 def all_ncps(n):
@@ -91,6 +93,33 @@ def test_left_quotient_inverts_product():
     for part in all_ncps(4):
         comp = right_complement(part)
         assert left_quotient(part, simple_product(part, comp)) == comp
+
+
+def test_simple_product_rejects_non_simple_products():
+    a12 = letter_ncp(BandLetter(1, 2), 4)
+    with pytest.raises(ValueError):
+        simple_product(a12, a12)  # lengths do not add
+    # The cycles of the product cover {1..4} in the wrong cyclic order.
+    with pytest.raises(ValueError):
+        simple_product(NonCrossingPartition.from_blocks(4, [[1], [2, 3, 4]]), a12)
+
+
+def test_right_quotient_inverts_product():
+    ncps = list(all_ncps(4))
+    for a in ncps:
+        for b in ncps:
+            try:
+                product = simple_product(a, b)
+            except ValueError:
+                continue
+            assert right_quotient(product, b) == a
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rotate_is_phi_on_simples(n):
+    for part in all_ncps(n):
+        for k in range(n + 1):
+            assert garside.equal(ncp_word(rotate(part, k)), phi(n, k, ncp_word(part)))
 
 
 def test_ncp_word_of_garside():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbraid import cli
+from dualbraid import cli, oracle
 from dualbraid.parser import (
     ParseError,
     parse_artin_word,
@@ -135,6 +135,25 @@ def test_cli_contract_error_exit_code(capsys):
     # Requesting a band coercion of a negative Artin word is a parse error,
     # but a strand-count contract breach surfaces as exit code 2.
     assert cli.main(["normalize", "-n", "1", "1"]) == 2
+
+
+def test_cli_enum_verify_rejects_negative_length(capsys):
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "elements" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "-n", "3", "s1 s2"], ["compare", "-n", "3", "a(1,2)", "a(2,3)"]],
+)
+def test_cli_oracle_overflow_exit_code(argv, capsys, monkeypatch):
+    def overflow(w, max_length=10**6):
+        raise oracle.ReductionOverflow(f"word grew past {max_length} letters")
+
+    monkeypatch.setattr(oracle, "sigma_class", overflow)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: word grew past")
 
 
 def test_cli_usage_error_on_unknown_command():

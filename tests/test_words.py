@@ -8,7 +8,6 @@ from dualbraid.words import (
     band_to_artin,
     band_word,
     delta_word,
-    flip_reverse,
     garside_word,
     invert,
     narrow,
@@ -78,8 +77,3 @@ def test_widen_and_narrow_are_explicit():
     with pytest.raises(ValueError):
         widen(band_word(4, [(1, 4)]), 3)
 
-
-def test_flip_reverse_is_an_involution():
-    w = band_word(5, [(1, 3), (2, 5), (4, 5)])
-    assert flip_reverse(flip_reverse(w)) == w
-    assert flip_reverse(w) == band_word(5, [(1, 2), (1, 4), (3, 5)])
