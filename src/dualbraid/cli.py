@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 contract violation
-(including an oracle reduction that outgrows its length ceiling),
+(including an oracle reduction that outgrows its length ceiling, and a
+size beyond the limits below: normalizing costs about n^3 per letter,
+and enum-verify compares every pair of the words it enumerates),
 3 verification mismatch.
 """
 
@@ -20,6 +22,9 @@ EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_MISMATCH = 3
 
+MAX_STRANDS = 32
+MAX_ENUM_WORDS = 10_000
+
 _VERDICT = {OrderResult.LESS: "LT", OrderResult.EQUAL: "EQ", OrderResult.GREATER: "GT"}
 
 
@@ -32,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--strands", "-n", type=int, required=True)
+        p.add_argument("--strands", "-n", type=int, required=True, help=f"2 to {MAX_STRANDS}")
         return p
 
     add("normalize", "print the rotating normal form of a band word").add_argument("word")
@@ -43,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("tree", "print the iterated splitting tree as nested arrays").add_argument("word")
     add("oracle", "print the sigma-classification of an Artin word").add_argument("word")
     verify = add("enum-verify", "exhaustively cross-check both orderings")
-    verify.add_argument("--max-length", type=int, default=3)
+    verify.add_argument("--max-length", type=int, default=3, help="longest word enumerated")
     return top
 
 
@@ -97,6 +102,13 @@ def _cmd_enum_verify(args) -> int:
     n, max_length = args.strands, args.max_length
     if max_length < 0:
         raise ValueError("--max-length must be non-negative")
+    # Counted term by term, so a huge --max-length stops at the limit.
+    words = power = 1
+    for _ in range(max_length):
+        power *= n * (n - 1) // 2
+        words += power
+        if words > MAX_ENUM_WORDS:
+            raise ValueError(f"more than {MAX_ENUM_WORDS} words of length <= {max_length}")
     elements = enumeration.enumerate_elements(n, max_length)
     print(f"{len(elements)} elements of length <= {max_length} at n={n}")
     checked = failed = 0
@@ -114,7 +126,7 @@ def _cmd_enum_verify(args) -> int:
         if not garside.equal(rotating.rnf(w), w):
             failed += 1
             print(f"NORMAL FORM MISMATCH: {w}")
-        if split.breadth >= 2 and split.entries[0].is_trivial_word():
+        if split.breadth >= 2 and not split.forms[0].factors:
             failed += 1
             print(f"SPLITTING HEAD TRIVIAL: {w}")
     print(f"total: {checked - failed}/{checked} checks passed")
@@ -134,6 +146,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if not 2 <= args.strands <= MAX_STRANDS:
+            raise ValueError(f"--strands must be between 2 and {MAX_STRANDS}")
         return _COMMANDS[args.command](args)
     except parser.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -21,14 +21,14 @@ def generators(n: int) -> list[BandLetter]:
 def enumerate_elements(n: int, max_length: int) -> list[BandWord]:
     """One representative word per monoid element of length <= max_length."""
     gens = generators(n)
-    seen: dict[tuple, BandWord] = {garside.canonical_key(BandWord(n)): BandWord(n)}
+    seen: dict[garside.GreedyNF, BandWord] = {garside.gnf(BandWord(n)): BandWord(n)}
     frontier = [BandWord(n)]
     for _ in range(max_length):
         next_frontier = []
         for w in frontier:
             for g in gens:
                 candidate = BandWord(n, w.letters + (g,))
-                key = garside.canonical_key(candidate)
+                key = garside.gnf(candidate)
                 if key not in seen:
                     seen[key] = candidate
                     next_frontier.append(candidate)

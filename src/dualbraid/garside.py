@@ -24,14 +24,8 @@ class GreedyNF:
     n: int
     factors: tuple[NonCrossingPartition, ...]
 
-    def __len__(self) -> int:
-        return len(self.factors)
-
     def word(self) -> BandWord:
-        out = BandWord(self.n)
-        for factor in self.factors:
-            out = out * ncp.ncp_word(factor)
-        return out
+        return BandWord(self.n, tuple(l for f in self.factors for l in ncp.ncp_word(f).letters))
 
 
 def _normalize(n: int, factors: list[NonCrossingPartition]) -> tuple[NonCrossingPartition, ...]:
@@ -71,11 +65,6 @@ def equal(u: BandWord, v: BandWord) -> bool:
     if u.n != v.n:
         raise ValueError("strand count mismatch")
     return gnf(u).factors == gnf(v).factors
-
-
-def canonical_key(w: BandWord) -> tuple:
-    """Hashable identifier of the monoid element represented by w."""
-    return (w.n, tuple(f.blocks for f in gnf(w).factors))
 
 
 def _right_quotient_or_none(w: BandWord, g: BandWord) -> GreedyNF | None:

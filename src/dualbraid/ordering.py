@@ -3,16 +3,16 @@
 At two strands, elements are powers of a(1,2) and compare by exponent.
 At n strands, elements compare by the ShortLex extension applied to
 their rotation splittings: shorter splitting first, then entrywise from
-the highest entry down, recursively one strand lower.  The recursion
-lives in rotating_key; comparing two elements compares their keys.
+the highest entry down, recursively one strand lower.  rotating_key
+encodes splitting trees in this order; cmp_rotating compares keys.
 """
 
 from __future__ import annotations
 
 import enum
 
-from . import garside, rotating
-from .words import BandWord, band_word, widen
+from . import rotating
+from .words import BandWord, band_word
 
 
 class OrderResult(enum.Enum):
@@ -29,31 +29,27 @@ class OrderResult(enum.Enum):
 
 
 def cmp_rotating(u: BandWord, v: BandWord) -> OrderResult:
-    """Compare two elements of the dual monoid in the rotating ordering.
-
-    Words on different strand counts are widened to the larger one.
-    """
+    """Compare two elements of the dual monoid in the rotating ordering."""
     if u.n != v.n:
-        m = max(u.n, v.n)
-        u, v = widen(u, m), widen(v, m)
+        raise ValueError("strand count mismatch")
     ku, kv = rotating_key(u), rotating_key(v)
     return OrderResult.of((ku > kv) - (ku < kv))
 
 
 def rotating_key(w: BandWord):
-    """A sort key realizing the rotating ordering.
+    """A sort key realizing the rotating ordering: ShortLex on the splitting tree.
 
-    The key of a two-strand element is its exponent; the key of an
-    n-strand element is (breadth, key(entry_b), ..., key(entry_1)); the
-    trivial braid gets (0,), below every breadth.  Sorting by key ranks a
-    corpus with one splitting-tree computation per element.
+    A leaf (a two-strand exponent) is its own key; a node with children
+    c_b, ..., c_1 has key (b, key(c_b), ..., key(c_1)).  Keys of one strand
+    count compare like their elements; the trivial braid's is the least.
     """
-    if w.n == 2:
-        return len(garside.gnf(w).factors)
-    split = rotating.splitting(w)
-    if split.trivial:
-        return (0,)
-    return (split.breadth, *(rotating_key(entry) for entry in split.entries))
+
+    def shortlex(tree: rotating.SplittingTree):
+        if isinstance(tree, int):
+            return tree
+        return (len(tree), *map(shortlex, tree))
+
+    return shortlex(rotating.splitting_tree(w))
 
 
 def successor(w: BandWord) -> BandWord:

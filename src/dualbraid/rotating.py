@@ -3,9 +3,8 @@
 Every nontrivial element of the n-strand dual monoid (n >= 3) has a
 unique decomposition obtained by repeatedly extracting the maximal
 right divisor living on the first n-1 strands and rotating the
-remainder back.  The rotating normal form recurses through these
-splittings down to the two-strand monoid, whose elements are the powers
-of a(1,2).
+remainder back.  Iterated down to the two-strand monoid (powers of
+a(1,2)), splittings form the tree that rnf and rotating_key read.
 """
 
 from __future__ import annotations
@@ -14,15 +13,15 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import garside, ncp
+from .ncp import NonCrossingPartition
 from .words import (
     ArtinLetter,
     ArtinWord,
     BandLetter,
     BandWord,
     band_word,
-    narrow,
     phi,
-    widen,
+    phi_letter,
 )
 
 
@@ -30,36 +29,46 @@ from .words import (
 class Splitting:
     """The rotation splitting (beta_b, ..., beta_1) of an n-strand element.
 
-    Entries are words over n-1 strands, highest entry first.  The
-    trivial braid gets the flagged single-entry sequence (1).
+    Entries are held as right-greedy normal forms over n-1 strands,
+    highest entry first.  The trivial braid splits as one empty entry.
     """
 
     n: int
-    entries: tuple[BandWord, ...]
-    trivial: bool = False
+    forms: tuple[garside.GreedyNF, ...]
 
     @property
     def breadth(self) -> int:
-        return len(self.entries)
+        return len(self.forms)
+
+    @property
+    def trivial(self) -> bool:
+        return self.breadth == 1 and not self.forms[0].factors
+
+    @property
+    def entries(self) -> tuple[BandWord, ...]:
+        return tuple(form.word() for form in self.forms)
 
 
-def splitting(w: BandWord) -> Splitting:
-    """Compute the unique rotation splitting of w (n >= 3)."""
-    n = w.n
-    if n < 3:
-        raise ValueError("splitting requires at least 3 strands")
-    remainder = garside.gnf(w)
-    if not remainder.factors:
-        return Splitting(n, (BandWord(n - 1),), trivial=True)
-    entries: list[BandWord] = []
+def _split(nf: garside.GreedyNF) -> Splitting:
+    n, forms, remainder = nf.n, [], nf
     while True:
         part, remainder = garside.split_tail(remainder, n - 1)
-        entries.append(narrow(part.word(), n - 1))
+        # Tail factors fix n, so (n,) is each one's last block; the rest
+        # is the entry's normal form on n-1 strands.
+        restricted = tuple(NonCrossingPartition(n - 1, f.blocks[:-1]) for f in part.factors)
+        forms.append(garside.GreedyNF(n - 1, restricted))
         if not remainder.factors:
             break
         # phi^-1 is an automorphism, so it maps a normal form to a normal form.
         remainder = garside.GreedyNF(n, tuple(ncp.rotate(f, -1) for f in remainder.factors))
-    return Splitting(n, tuple(reversed(entries)))
+    return Splitting(n, tuple(reversed(forms)))
+
+
+def splitting(w: BandWord) -> Splitting:
+    """Compute the unique rotation splitting of w (n >= 3)."""
+    if w.n < 3:
+        raise ValueError("splitting requires at least 3 strands")
+    return _split(garside.gnf(w))
 
 
 def breadth(w: BandWord) -> int:
@@ -68,18 +77,15 @@ def breadth(w: BandWord) -> int:
 
 
 def rnf(w: BandWord) -> BandWord:
-    """The rotating normal form of the element represented by w."""
-    n = w.n
-    if n == 2:
-        return band_word(2, [(1, 2)] * len(garside.gnf(w).factors))
-    split = splitting(w)
-    if split.trivial:
-        return BandWord(n)
-    out = BandWord(n)
-    b = split.breadth
-    for k, entry in enumerate(split.entries):
-        out = out * phi(n, b - 1 - k, widen(rnf(entry), n))
-    return out
+    """The rotating normal form of w: phi^(b-1)(c_b) ... phi^0(c_1) down its splitting tree."""
+
+    def letters(tree: SplittingTree, n: int) -> list[BandLetter]:
+        if n == 2:
+            return [BandLetter(1, 2)] * tree
+        b = len(tree)
+        return [phi_letter(n, b - 1 - k, l) for k, c in enumerate(tree) for l in letters(c, n - 1)]
+
+    return BandWord(w.n, tuple(letters(splitting_tree(w), w.n)))
 
 
 def last_letter(w: BandWord) -> BandLetter:
@@ -106,15 +112,20 @@ def separator(n: int, r: int) -> BandWord:
     return out
 
 
-Leaf = int
-SplittingTree = Union[Leaf, tuple]  # nested tuples with int leaves
+SplittingTree = Union[int, tuple]  # nested tuples with int leaves
 
 
 def splitting_tree(w: BandWord) -> SplittingTree:
     """Fully iterated splitting: a depth n-2 tree with natural-number leaves."""
+
+    def subtree(form: garside.GreedyNF) -> SplittingTree:
+        if form.n == 2:
+            return len(form.factors)
+        return tuple(subtree(f) for f in _split(form).forms)
+
     if w.n == 2:
-        return len(garside.gnf(w).factors)
-    return tuple(splitting_tree(entry) for entry in splitting(w).entries)
+        return subtree(garside.gnf(w))
+    return tuple(subtree(f) for f in splitting(w).forms)
 
 
 def tree_depth(tree: SplittingTree) -> int:

@@ -58,10 +58,6 @@ class BandWord:
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters) if self.letters else "1"
 
-    def max_index(self) -> int:
-        """Largest strand index touched by any letter (0 for the empty word)."""
-        return max((l.q for l in self.letters), default=0)
-
 
 class ArtinLetter(NamedTuple):
     """The letter sigma_i (sign=+1) or sigma_i^-1 (sign=-1)."""
@@ -170,11 +166,3 @@ def widen(w: BandWord, n: int) -> BandWord:
     if n < w.n:
         raise ValueError("cannot widen to fewer strands")
     return BandWord(n, w.letters)
-
-
-def narrow(w: BandWord, n: int) -> BandWord:
-    """Reinterpret a word over fewer strands; every letter must fit."""
-    if w.max_index() > n:
-        raise ValueError(f"word does not fit in {n} strands")
-    return BandWord(n, w.letters)
-

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from dualbraid import enumeration, garside
+from dualbraid.oracle import cmp_dehornoy
 from dualbraid.ordering import (
     OrderResult,
     cmp_rotating,
@@ -24,8 +25,10 @@ def test_cmp_examples():
     assert cmp_rotating(band_word(3, [(1, 3)]), delta_word(1, 3, 3)) is OrderResult.LESS
 
 
-def test_cmp_widens_mismatched_strand_counts():
-    assert cmp_rotating(band_word(3, [(1, 2)]), band_word(4, [(3, 4)])) is OrderResult.LESS
+@pytest.mark.parametrize("compare", [cmp_rotating, cmp_dehornoy], ids=["rotating", "dehornoy"])
+def test_comparators_reject_mismatched_strand_counts(compare):
+    with pytest.raises(ValueError, match="strand count mismatch"):
+        compare(band_word(3, [(1, 2)]), band_word(4, [(3, 4)]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -63,14 +66,15 @@ def test_left_invariance_samples():
             assert cmp_rotating(d * u, d * v) is verdict
 
 
-def test_rotating_key_matches_cmp():
+def test_rotating_key_separates_elements_with_trivial_minimum():
+    # Each element with every one-relation rewrite of its representative:
+    # keys must agree exactly when the words represent one element.
     corpus = enumeration.enumerate_elements(4, 3)
-    for u, v in combinations(corpus[:40], 2):
-        verdict = cmp_rotating(u, v)
-        keys = OrderResult.of(
-            (rotating_key(u) > rotating_key(v)) - (rotating_key(u) < rotating_key(v))
-        )
-        assert keys is verdict
+    words = corpus + [BandWord(4, r) for w in corpus for r in enumeration._rewrites(w.letters)]
+    pairs = {(rotating_key(w), garside.gnf(w)) for w in words}
+    assert len({key for key, _ in pairs}) == len({nf for _, nf in pairs}) == len(pairs)
+    trivial = rotating_key(BandWord(4))
+    assert all(rotating_key(w) > trivial for w in corpus if not w.is_trivial_word())
 
 
 def test_successor_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbraid import cli, oracle
+from dualbraid import cli, enumeration, oracle
 from dualbraid.parser import (
     ParseError,
     parse_artin_word,
@@ -141,6 +141,41 @@ def test_cli_enum_verify_rejects_negative_length(capsys):
     assert cli.main(["enum-verify", "-n", "3", "--max-length", "-1"]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and "elements" not in captured.out
+
+
+def test_cli_strand_limit(capsys):
+    assert cli.main(["normalize", "-n", str(cli.MAX_STRANDS), "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert cli.main(["normalize", "-n", str(cli.MAX_STRANDS + 1), "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --strands must be between 2 and")
+
+
+def test_cli_enum_verify_word_limit(capsys, monkeypatch):
+    # At n=3 there are 1 + 3 + 9 + 27 = 40 words of length <= 3.
+    monkeypatch.setattr(enumeration, "enumerate_elements", lambda n, max_length: [])
+    monkeypatch.setattr(cli, "MAX_ENUM_WORDS", 40)
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", "3"]) == 0
+    capsys.readouterr()
+
+    def refuse(n, max_length):
+        raise AssertionError("enumerated past the limit")
+
+    monkeypatch.setattr(enumeration, "enumerate_elements", refuse)
+    monkeypatch.setattr(cli, "MAX_ENUM_WORDS", 39)
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: more than 39 words")
+
+
+def test_cli_enum_verify_default_limit_refuses_before_enumerating(capsys, monkeypatch):
+    def refuse(n, max_length):
+        raise AssertionError("enumerated past the limit")
+
+    monkeypatch.setattr(enumeration, "enumerate_elements", refuse)
+    # 1 + 6 + ... + 6^6 = 55987 words at n=4; n=2 grows by one word per length.
+    assert cli.main(["enum-verify", "-n", "4", "--max-length", "6"]) == 2
+    assert cli.main(["enum-verify", "-n", "2", "--max-length", str(cli.MAX_ENUM_WORDS)]) == 2
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", str(10**9)]) == 2
+    assert capsys.readouterr().err.count("error: more than") == 3
 
 
 @pytest.mark.parametrize(

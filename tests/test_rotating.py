@@ -1,5 +1,6 @@
 """Splittings, the rotating normal form, separators, trees and ladders."""
 
+import random
 from itertools import product
 
 import pytest
@@ -23,7 +24,6 @@ from dualbraid.words import (
     artin_word,
     band_word,
     delta_word,
-    narrow,
     phi,
     widen,
 )
@@ -65,6 +65,20 @@ def test_splitting_of_trivial_is_flagged():
     assert split.trivial and split.entries == (BandWord(2),)
 
 
+def test_splitting_forms_are_the_entries_normal_forms():
+    rng = random.Random(4)
+    corpus = enumeration.enumerate_elements(4, 3) + [
+        BandWord(n, tuple(rng.choice(enumeration.generators(n)) for _ in range(length)))
+        for n in (5, 6)
+        for length in range(1, 13)
+        for _ in range(3)
+    ]
+    for w in corpus:
+        split = splitting(w)
+        assert all(form.n == w.n - 1 for form in split.forms)
+        assert split.forms == tuple(garside.gnf(entry) for entry in split.entries)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_breadth_examples(n):
     assert breadth(band_word(n, [(n - 1, n)])) == 2
@@ -92,13 +106,14 @@ def test_splitting_uniqueness_brute_force_three_strands():
         if w.is_trivial_word():
             continue
         length = len(w)
+        target = garside.gnf(w)
         found = []
         for b in range(1, length + 3):
             for exps in product(range(length + 1), repeat=b):
                 if sum(exps) != length or (b >= 2 and exps[0] == 0):
                     continue
                 entries = tuple(band_word(2, [(1, 2)] * e) for e in exps)
-                if not garside.equal(reconstruct(3, entries), w):
+                if garside.gnf(reconstruct(3, entries)) != target:
                     continue
                 ok = True
                 for k in range(1, b):

@@ -10,7 +10,6 @@ from dualbraid.words import (
     delta_word,
     garside_word,
     invert,
-    narrow,
     phi,
     widen,
 )
@@ -68,12 +67,9 @@ def test_invert_is_reversal_with_sign_flip():
     assert invert(invert(w)) == w
 
 
-def test_widen_and_narrow_are_explicit():
+def test_widen_is_explicit():
     w = band_word(3, [(1, 2), (2, 3)])
-    assert widen(w, 5).n == 5
-    assert narrow(widen(w, 5), 3) == w
-    with pytest.raises(ValueError):
-        narrow(band_word(4, [(1, 4)]), 3)
+    assert widen(w, 5) == BandWord(5, w.letters)
     with pytest.raises(ValueError):
         widen(band_word(4, [(1, 4)]), 3)
 
