@@ -7,7 +7,7 @@ oracle based on handle reduction.
 """
 
 from .garside import GreedyNF, equal, gnf, right_divides, right_quotient, tail
-from .ncp import NonCrossingPartition, letter_ncp
+from .ncp import NonCrossingPartition, letter_simple
 from .oracle import SigmaClass, cmp_dehornoy, free_reduce, handle_reduce, sigma_class
 from .ordering import OrderResult, cmp_rotating, is_initial_segment_member, min_of_breadth, successor
 from .rotating import (
@@ -54,7 +54,7 @@ __all__ = [
     "is_initial_segment_member",
     "is_ladder",
     "last_letter",
-    "letter_ncp",
+    "letter_simple",
     "min_of_breadth",
     "phi",
     "rnf",

@@ -1,8 +1,9 @@
 """Right-greedy normal form, equality, right division and tails for band words.
 
 Equality of band words is decided through the right-greedy normal form
-over non-crossing partitions: two words represent the same monoid
-element exactly when their factor sequences coincide.  The last factor
+over simple elements, held as permutations (see ncp): two words
+represent the same monoid element exactly when their factor sequences
+coincide.  The last factor
 is the maximal simple right divisor, so right division and the tail in
 an m-strand submonoid are both read off it.  The monoid is only ever
 divided on the right.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ncp
-from .ncp import NonCrossingPartition
+from .ncp import Perm
 from .words import BandWord
 
 
@@ -22,33 +23,31 @@ class GreedyNF:
     """Right-greedy factorization; the empty factor list is the trivial braid."""
 
     n: int
-    factors: tuple[NonCrossingPartition, ...]
+    factors: tuple[Perm, ...]
 
     def word(self) -> BandWord:
         return BandWord(self.n, tuple(l for f in self.factors for l in ncp.ncp_word(f).letters))
 
 
-def _normalize(n: int, factors: list[NonCrossingPartition]) -> tuple[NonCrossingPartition, ...]:
+def _normalize(n: int, factors: list[Perm]) -> tuple[Perm, ...]:
     # Bubble passes: slide the movable part of each factor into its right
     # neighbour until every adjacent pair is right-weighted.
-    factors = [f for f in factors if not f.is_trivial()]
+    factors = [f for f in factors if not ncp.is_trivial(f)]
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 1):
             head, tail = factors[i], factors[i + 1]
             slide = ncp.meet(head, ncp.left_complement(tail))
-            if not slide.is_trivial():
+            if not ncp.is_trivial(slide):
                 factors[i] = ncp.right_quotient(head, slide)
                 factors[i + 1] = ncp.simple_product(slide, tail)
                 changed = True
-        factors = [f for f in factors if not f.is_trivial()]
+        factors = [f for f in factors if not ncp.is_trivial(f)]
     return tuple(factors)
 
 
-def _divide_last(
-    n: int, factors: tuple[NonCrossingPartition, ...], simple: NonCrossingPartition
-) -> tuple[NonCrossingPartition, ...]:
+def _divide_last(n: int, factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
     # The last factor is the maximal simple right divisor: dividing a
     # simple off it and re-normalizing gives the quotient's normal form.
     return _normalize(n, [*factors[:-1], ncp.right_quotient(factors[-1], simple)])
@@ -56,7 +55,7 @@ def _divide_last(
 
 def gnf(w: BandWord) -> GreedyNF:
     """The unique right-greedy normal form of the element represented by w."""
-    factors = [ncp.letter_ncp(letter, w.n) for letter in w.letters]
+    factors = [ncp.letter_simple(letter, w.n) for letter in w.letters]
     return GreedyNF(w.n, _normalize(w.n, factors))
 
 
@@ -72,7 +71,7 @@ def _right_quotient_or_none(w: BandWord, g: BandWord) -> GreedyNF | None:
         raise ValueError("strand count mismatch")
     factors = gnf(w).factors
     for letter in reversed(g.letters):
-        simple = ncp.letter_ncp(letter, w.n)
+        simple = ncp.letter_simple(letter, w.n)
         # A generator divides the element iff it divides the last factor.
         if not factors or not ncp.refines(simple, factors[-1]):
             return None
@@ -103,13 +102,11 @@ def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
     until one is trivial collects the tail.
     """
     n = nf.n
-    delta_m = NonCrossingPartition.from_blocks(
-        n, [range(1, m + 1), *([x] for x in range(m + 1, n + 1))]
-    )
+    delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
     factors, collected = nf.factors, []
     while factors:
         s = ncp.meet(factors[-1], delta_m)
-        if s.is_trivial():
+        if ncp.is_trivial(s):
             break
         factors = _divide_last(n, factors, s)
         collected.append(s)

@@ -1,22 +1,35 @@
-"""Non-crossing partitions as the simple elements of the dual braid monoid.
+"""Simple elements of the dual braid monoid, as permutations.
 
 A simple element (a divisor of the Garside element, on either side)
 corresponds to a non-crossing partition of {1..n}.  The block
 {i1 < ... < ik} stands for the product a(i1,i2) a(i2,i3) ... a(i_{k-1},ik),
-whose underlying permutation is the descending cycle on the block.  All
-simple-element arithmetic (products, complements, meets, quotients) is
-carried out on the associated permutations and converted back to
-partitions; the rotation automorphism acts by shifting block elements.
+whose underlying permutation is the descending cycle on the block: each
+point maps to its cyclic predecessor in its block.  These permutations
+are exactly the ones below the Garside element (the cycle n -> n-1 ->
+... -> 1 -> n) in absolute order.
+
+Inside the engine a simple is its permutation tuple (Perm), and every
+operation (product, complements, meet, quotients, rotation) works on
+permutations in O(n), by labelling each point with its cycle; no
+partition is built and nothing is sorted.  With l(x) = n - #cycles(x),
+a product a*b is simple iff l(ab) = l(a) + l(b) and l(ab) + l((ab)^-1
+Delta) = n - 1.  The hot operations are memoized, each in a cache of at
+most CACHE_SIZE entries.  NonCrossingPartition, with its full crossing
+check, lives at the edge only: ncp_to_perm and perm_to_ncp convert,
+for printing, for ncp_word and for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .words import BandLetter, BandWord, band_word
 
 Perm = tuple[int, ...]  # perm[x-1] is the image of x, 1-based values
+
+CACHE_SIZE = 1 << 13  # entries per memoized operation
 
 
 def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -51,69 +64,52 @@ class NonCrossingPartition:
         normalized = tuple(sorted(tuple(sorted(b)) for b in blocks))
         return NonCrossingPartition(n, normalized)
 
-    def is_trivial(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    def length(self) -> int:
-        """Canonical (reflection) length: n minus the number of blocks."""
-        return self.n - len(self.blocks)
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise ValueError(f"{x} not in partition")
-
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
 
 
-def trivial_ncp(n: int) -> NonCrossingPartition:
-    return NonCrossingPartition.from_blocks(n, [[i] for i in range(1, n + 1)])
-
-
-def full_ncp(n: int) -> NonCrossingPartition:
-    """The one-block partition: the Garside element."""
-    return NonCrossingPartition.from_blocks(n, [range(1, n + 1)])
-
-
-def letter_ncp(letter: BandLetter, n: int) -> NonCrossingPartition:
-    """The simple element of the single band generator a(p,q)."""
-    letter.validate(n)
-    blocks = [[letter.p, letter.q]] + [[i] for i in range(1, n + 1) if i not in letter]
-    return NonCrossingPartition.from_blocks(n, blocks)
-
-
-def ncp_to_perm(part: NonCrossingPartition) -> Perm:
-    """Underlying permutation: each element maps to its cyclic predecessor."""
-    image = list(range(1, part.n + 1))
-    for block in part.blocks:
+def _descending_cycles(n: int, blocks) -> Perm:
+    # Each point of an increasing block maps to its cyclic predecessor.
+    image = list(range(1, n + 1))
+    for block in blocks:
         for idx, x in enumerate(block):
             image[x - 1] = block[idx - 1]
     return tuple(image)
 
 
+def _cycle_labels(perm: Perm) -> list[int]:
+    # labels[x-1] is the least point of the cycle through x.
+    labels = [0] * len(perm)
+    for start in range(1, len(perm) + 1):
+        if not labels[start - 1]:
+            x = start
+            while not labels[x - 1]:
+                labels[x - 1] = start
+                x = perm[x - 1]
+    return labels
+
+
+def _blocks(keys) -> list[list[int]]:
+    # The points 1..n grouped by key, each group increasing.
+    blocks: dict = {}
+    for x, key in enumerate(keys, start=1):
+        blocks.setdefault(key, []).append(x)
+    return list(blocks.values())
+
+
+def ncp_to_perm(part: NonCrossingPartition) -> Perm:
+    """Underlying permutation: each element maps to its cyclic predecessor."""
+    return _descending_cycles(part.n, part.blocks)
+
+
 def perm_to_ncp(n: int, perm: Perm) -> NonCrossingPartition:
     """Partition from the cycles of a permutation; must be non-crossing."""
-    blocks = []
-    seen = [False] * n
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        cycle = [start]
-        seen[start - 1] = True
-        x = perm[start - 1]
-        while x != start:
-            cycle.append(x)
-            seen[x - 1] = True
-            x = perm[x - 1]
-        blocks.append(cycle)
-    return NonCrossingPartition.from_blocks(n, blocks)
+    return NonCrossingPartition.from_blocks(n, _blocks(_cycle_labels(perm)))
 
 
 def compose(first: Perm, then: Perm) -> Perm:
     """Permutation of 'apply first, then then'."""
-    return tuple(then[x - 1] for x in first)
+    return tuple([then[x - 1] for x in first])
 
 
 def inverse(perm: Perm) -> Perm:
@@ -123,73 +119,105 @@ def inverse(perm: Perm) -> Perm:
     return tuple(out)
 
 
-def refines(p: NonCrossingPartition, q: NonCrossingPartition) -> bool:
-    """True iff every block of p is contained in a block of q.
+def length(simple: Perm) -> int:
+    """Reflection length: n minus the number of cycles."""
+    return sum(label != x for x, label in enumerate(_cycle_labels(simple), start=1))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def trivial_simple(n: int) -> Perm:
+    return tuple(range(1, n + 1))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def full_simple(n: int) -> Perm:
+    """The one-block simple, the Garside element: the cycle x -> x-1, 1 -> n."""
+    return (n, *range(1, n))
+
+
+def is_trivial(simple: Perm) -> bool:
+    return simple == trivial_simple(len(simple))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def letter_simple(letter: BandLetter, n: int) -> Perm:
+    """The simple element of the single band generator a(p,q)."""
+    letter.validate(n)
+    return _descending_cycles(n, [letter])
+
+
+def refines(p: Perm, q: Perm) -> bool:
+    """True iff every cycle (block) of p lies in a cycle of q.
 
     On simple elements, refinement coincides with both left and right
     divisibility.
     """
-    return all(set(block) <= set(q.block_of(block[0])) for block in p.blocks)
+    labels = _cycle_labels(q)
+    return all(labels[x - 1] == labels[y - 1] for x, y in enumerate(p, start=1))
 
 
-def meet(p: NonCrossingPartition, q: NonCrossingPartition) -> NonCrossingPartition:
+@lru_cache(maxsize=CACHE_SIZE)
+def meet(p: Perm, q: Perm) -> Perm:
     """Common refinement; the lattice meet (left and right gcd of simples)."""
-    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-    for x in range(1, p.n + 1):
-        blocks.setdefault((p.block_of(x), q.block_of(x)), []).append(x)
-    return NonCrossingPartition.from_blocks(p.n, blocks.values())
+    # Points sharing a cycle of p and a cycle of q form one block.
+    return _descending_cycles(len(p), _blocks(zip(_cycle_labels(p), _cycle_labels(q))))
 
 
-def simple_product(a: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossingPartition:
+def _is_simple(perm: Perm) -> bool:
+    # perm lies below the Garside element in absolute order.
+    return length(perm) + length(compose(inverse(perm), full_simple(len(perm)))) == len(perm) - 1
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def simple_product(a: Perm, b: Perm) -> Perm:
     """Product of simples, defined when the result is again simple."""
-    perm = compose(ncp_to_perm(a), ncp_to_perm(b))
-    result = perm_to_ncp(a.n, perm)
-    # perm_to_ncp keeps only the cycle supports, so the orientation of
-    # each cycle is checked by mapping the partition back.
-    if result.length() != a.length() + b.length() or ncp_to_perm(result) != perm:
+    perm = compose(a, b)
+    if length(perm) != length(a) + length(b) or not _is_simple(perm):
         raise ValueError("product of simples is not simple")
-    return result
+    return perm
 
 
-def right_complement(a: NonCrossingPartition) -> NonCrossingPartition:
+def right_complement(a: Perm) -> Perm:
     """The simple c with a * c equal to the Garside element."""
-    perm = compose(inverse(ncp_to_perm(a)), ncp_to_perm(full_ncp(a.n)))
-    return perm_to_ncp(a.n, perm)
+    return compose(inverse(a), full_simple(len(a)))
 
 
-def left_complement(a: NonCrossingPartition) -> NonCrossingPartition:
+@lru_cache(maxsize=CACHE_SIZE)
+def left_complement(a: Perm) -> Perm:
     """The simple c with c * a equal to the Garside element."""
-    perm = compose(ncp_to_perm(full_ncp(a.n)), inverse(ncp_to_perm(a)))
-    return perm_to_ncp(a.n, perm)
+    return compose(full_simple(len(a)), inverse(a))
 
 
-def left_quotient(t: NonCrossingPartition, b: NonCrossingPartition) -> NonCrossingPartition:
+def left_quotient(t: Perm, b: Perm) -> Perm:
     """The simple u with t * u = b; requires t to divide b."""
     if not refines(t, b):
         raise ValueError("not a left divisor")
-    perm = compose(inverse(ncp_to_perm(t)), ncp_to_perm(b))
-    return perm_to_ncp(b.n, perm)
+    return compose(inverse(t), b)
 
 
-def right_quotient(b: NonCrossingPartition, t: NonCrossingPartition) -> NonCrossingPartition:
+@lru_cache(maxsize=CACHE_SIZE)
+def right_quotient(b: Perm, t: Perm) -> Perm:
     """The simple u with u * t = b; requires t to divide b."""
     if not refines(t, b):
         raise ValueError("not a right divisor")
-    perm = compose(ncp_to_perm(b), inverse(ncp_to_perm(t)))
-    return perm_to_ncp(b.n, perm)
+    return compose(b, inverse(t))
 
 
-def rotate(part: NonCrossingPartition, k: int) -> NonCrossingPartition:
-    """The k-th power of the rotation automorphism: every point x moves to x+k mod n."""
-    n = part.n
-    return NonCrossingPartition.from_blocks(
-        n, [[(x - 1 + k) % n + 1 for x in block] for block in part.blocks]
-    )
+@lru_cache(maxsize=CACHE_SIZE)
+def rotate(simple: Perm, k: int) -> Perm:
+    """The k-th power of the rotation automorphism: every point x moves to x+k mod n.
+
+    Rotation keeps the cyclic order of each block, so it conjugates the
+    descending cycle on a block into the one on the rotated block.
+    """
+    n = len(simple)
+    image = [0] * n
+    for x, y in enumerate(simple):
+        image[(x + k) % n] = (y - 1 + k) % n + 1
+    return tuple(image)
 
 
-def ncp_word(part: NonCrossingPartition) -> BandWord:
+def ncp_word(simple: Perm) -> BandWord:
     """A positive word representing the simple element."""
-    pairs = []
-    for block in part.blocks:
-        pairs.extend(zip(block, block[1:]))
-    return band_word(part.n, pairs)
+    part = perm_to_ncp(len(simple), simple)
+    return band_word(part.n, [pair for block in part.blocks for pair in zip(block, block[1:])])

@@ -36,7 +36,11 @@ class SigmaClass:
 TRIVIAL = SigmaClass(SigmaKind.TRIVIAL)
 
 
-class ReductionOverflow(RuntimeError):
+class OracleError(RuntimeError):
+    """Handle reduction failed to decide a word."""
+
+
+class ReductionOverflow(OracleError):
     """The intermediate word exceeded the configured length ceiling."""
 
 
@@ -103,7 +107,7 @@ def sigma_class(w: ArtinWord, max_length: int = 10**6) -> SigmaClass:
     top = max(letter.i for letter in reduced.letters)
     signs = {letter.sign for letter in reduced.letters if letter.i == top}
     if len(signs) != 1:
-        raise AssertionError("mixed signs at the maximal index after reduction")
+        raise OracleError("mixed signs at the maximal index after reduction")
     kind = SigmaKind.POSITIVE if signs.pop() > 0 else SigmaKind.NEGATIVE
     return SigmaClass(kind, top)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import garside, ncp
-from .ncp import NonCrossingPartition
 from .words import (
     ArtinLetter,
     ArtinWord,
@@ -53,9 +52,9 @@ def _split(nf: garside.GreedyNF) -> Splitting:
     n, forms, remainder = nf.n, [], nf
     while True:
         part, remainder = garside.split_tail(remainder, n - 1)
-        # Tail factors fix n, so (n,) is each one's last block; the rest
-        # is the entry's normal form on n-1 strands.
-        restricted = tuple(NonCrossingPartition(n - 1, f.blocks[:-1]) for f in part.factors)
+        # Tail factors fix n, so dropping the last point leaves the
+        # entry's normal form on n-1 strands.
+        restricted = tuple(f[:-1] for f in part.factors)
         forms.append(garside.GreedyNF(n - 1, restricted))
         if not remainder.factors:
             break

@@ -1,0 +1,38 @@
+"""The engine's output, pinned by a digest.
+
+Speed work on simples, normal forms, tails and splittings must leave
+every key, rotating normal form and splitting tree exactly as it was.
+The digest below was taken before the permutation kernel replaced the
+partition arithmetic; a change that moves it changes what the engine
+computes, not only how fast.
+"""
+
+import hashlib
+import random
+from itertools import combinations
+
+from dualbraid import enumeration
+from dualbraid.ordering import rotating_key
+from dualbraid.rotating import rnf, splitting_tree
+from dualbraid.words import BandLetter, BandWord
+
+DIGEST = "2655768f863b71ab2b01564147255227d30244ae5cf8fd8e9cc4e8acc52b98d7"
+
+
+def corpus() -> list[BandWord]:
+    """300 seeded random words at n = 3..7, L = 0..14, plus every element of length <= 3 at n = 4."""
+    rng = random.Random(20261018)
+    words = []
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        gens = [BandLetter(p, q) for p, q in combinations(range(1, n + 1), 2)]
+        words.append(BandWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, 14)))))
+    return words + enumeration.enumerate_elements(4, 3)
+
+
+def test_engine_output_digest():
+    h = hashlib.sha256()
+    for w in corpus():
+        record = (w.n, rotating_key(w), tuple(map(tuple, rnf(w).letters)), splitting_tree(w))
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == DIGEST

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbraid import cli, enumeration, oracle
+from dualbraid import cli, enumeration, oracle, ordering
 from dualbraid.parser import (
     ParseError,
     parse_artin_word,
@@ -126,6 +126,24 @@ def test_cli_enum_verify(capsys):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+def test_cli_enum_verify_keys_each_element_once(capsys, monkeypatch):
+    keyed = []
+
+    def counted(w, original=ordering.rotating_key):
+        keyed.append(w)
+        return original(w)
+
+    monkeypatch.setattr(ordering, "rotating_key", counted)
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", "3"]) == 0
+    elements = enumeration.enumerate_elements(3, 3)
+    assert sorted(keyed, key=str) == sorted(elements, key=str)
+    assert capsys.readouterr().out.splitlines() == [
+        "26 elements of length <= 3 at n=3",
+        "ordering agreement: 325/325 pairs",
+        "total: 350/350 checks passed",
+    ]
+
+
 def test_cli_parse_error_exit_code(capsys):
     assert cli.main(["normalize", "-n", "3", "a(1,9)"]) == 1
     assert "parse error" in capsys.readouterr().err
@@ -189,6 +207,16 @@ def test_cli_oracle_overflow_exit_code(argv, capsys, monkeypatch):
     monkeypatch.setattr(oracle, "sigma_class", overflow)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: word grew past")
+
+
+def test_cli_oracle_failure_exit_code(capsys, monkeypatch):
+    # A reduction that leaves mixed signs at the top index is an oracle
+    # failure: a typed error and exit 2, not a traceback.
+    monkeypatch.setattr(oracle, "handle_reduce", lambda w, max_length=10**6: artin_word(3, [(2, 1), (2, -1)]))
+    with pytest.raises(oracle.OracleError):
+        oracle.sigma_class(artin_word(3, [(1, 1)]))
+    assert cli.main(["oracle", "-n", "3", "s1"]) == 2
+    assert capsys.readouterr().err.startswith("error: mixed signs")
 
 
 def test_cli_usage_error_on_unknown_command():
