@@ -1,9 +1,9 @@
 """Computational engine for the dual braid monoid.
 
-Core pieces: band and Artin word carriers, greedy normal form over
-non-crossing partitions, the rotating normal form with its splittings,
-the recursive ShortLex rotating ordering, and an independent ordering
-oracle based on handle reduction.
+Core pieces: band and Artin word carriers, simple elements as
+permutations, the right-greedy normal form, the rotating normal form
+with its splittings, the ShortLex rotating ordering by keys, and an
+independent ordering oracle based on handle reduction.
 """
 
 from .garside import GreedyNF, equal, gnf, right_divides, right_quotient, tail

@@ -3,15 +3,17 @@
 Equality of band words is decided through the right-greedy normal form
 over simple elements, held as permutations (see ncp): two words
 represent the same monoid element exactly when their factor sequences
-coincide.  The last factor
-is the maximal simple right divisor, so right division and the tail in
-an m-strand submonoid are both read off it.  The monoid is only ever
-divided on the right.
+coincide.  The one normalization step appends a simple to a normal form
+in one right-to-left pass, and gnf appends letter by letter.  The last
+factor is the maximal simple right divisor: right division divides it
+and appends the quotient, and the tail in an m-strand submonoid is read
+off its meets.  The monoid is only ever divided on the right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import ncp
 from .ncp import Perm
@@ -29,34 +31,31 @@ class GreedyNF:
         return BandWord(self.n, tuple(l for f in self.factors for l in ncp.ncp_word(f).letters))
 
 
-def _normalize(n: int, factors: list[Perm]) -> tuple[Perm, ...]:
-    # Bubble passes: slide the movable part of each factor into its right
-    # neighbour until every adjacent pair is right-weighted.
-    factors = [f for f in factors if not ncp.is_trivial(f)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            head, tail = factors[i], factors[i + 1]
-            slide = ncp.meet(head, ncp.left_complement(tail))
-            if not ncp.is_trivial(slide):
-                factors[i] = ncp.right_quotient(head, slide)
-                factors[i + 1] = ncp.simple_product(slide, tail)
-                changed = True
-        factors = [f for f in factors if not ncp.is_trivial(f)]
-    return tuple(factors)
+def _append(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
+    # Domino rule: walking right to left, slide the movable part of each
+    # factor into its right neighbour; once a slide (or what is left to
+    # carry) is trivial, the factors to its left are already normal.
+    out = [*factors, simple]
+    i = len(factors)
+    while i and not ncp.is_trivial(out[i]):
+        slide = ncp.meet(out[i - 1], ncp.left_complement(out[i]))
+        if ncp.is_trivial(slide):
+            break
+        out[i - 1] = ncp.right_quotient(out[i - 1], slide)
+        out[i] = ncp.simple_product(slide, out[i])
+        i -= 1
+    return tuple(out[:i] + out[i + 1:]) if ncp.is_trivial(out[i]) else tuple(out)
 
 
-def _divide_last(n: int, factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
-    # The last factor is the maximal simple right divisor: dividing a
-    # simple off it and re-normalizing gives the quotient's normal form.
-    return _normalize(n, [*factors[:-1], ncp.right_quotient(factors[-1], simple)])
+def _divide_last(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
+    # The last factor is the maximal simple right divisor, so dividing a
+    # simple off it leaves a normal form times one simple.
+    return _append(factors[:-1], ncp.right_quotient(factors[-1], simple))
 
 
 def gnf(w: BandWord) -> GreedyNF:
     """The unique right-greedy normal form of the element represented by w."""
-    factors = [ncp.letter_simple(letter, w.n) for letter in w.letters]
-    return GreedyNF(w.n, _normalize(w.n, factors))
+    return GreedyNF(w.n, reduce(_append, (ncp.letter_simple(l, w.n) for l in w.letters), ()))
 
 
 def equal(u: BandWord, v: BandWord) -> bool:
@@ -75,7 +74,7 @@ def _right_quotient_or_none(w: BandWord, g: BandWord) -> GreedyNF | None:
         # A generator divides the element iff it divides the last factor.
         if not factors or not ncp.refines(simple, factors[-1]):
             return None
-        factors = _divide_last(w.n, factors, simple)
+        factors = _divide_last(factors, simple)
     return GreedyNF(w.n, factors)
 
 
@@ -97,24 +96,26 @@ def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
 
     A generator a(p,q) with q <= m right-divides the element iff it
     refines s, the meet of the last factor with the partition whose one
-    nontrivial block is {1..m}.  The submonoid is closed under right
-    quotients, so tail(w) = tail(w / s) * s; dividing such meets off
-    until one is trivial collects the tail.
+    nontrivial block is {1..m}; s is the maximal simple right divisor of
+    the tail.  The submonoid is closed under right quotients, so
+    tail(w) = tail(w / s) * s; dividing such meets off until one is
+    trivial collects the tail, and the meets, the last collected first,
+    are its normal form.
     """
     n = nf.n
+    if not (2 <= m < n):
+        raise ValueError("m must satisfy 2 <= m < n")
     delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
     factors, collected = nf.factors, []
     while factors:
         s = ncp.meet(factors[-1], delta_m)
         if ncp.is_trivial(s):
             break
-        factors = _divide_last(n, factors, s)
+        factors = _divide_last(factors, s)
         collected.append(s)
-    return GreedyNF(n, _normalize(n, collected[::-1])), GreedyNF(n, factors)
+    return GreedyNF(n, tuple(reversed(collected))), GreedyNF(n, factors)
 
 
 def tail(w: BandWord, m: int) -> BandWord:
     """Maximal right divisor of w whose letters all satisfy q <= m."""
-    if not (2 <= m < w.n):
-        raise ValueError("m must satisfy 2 <= m < n")
     return split_tail(gnf(w), m)[0].word()

@@ -1,5 +1,6 @@
 """Greedy normal form, word problem, divisibility and tails."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -14,6 +15,8 @@ from dualbraid.garside import (
     tail,
 )
 from dualbraid.ncp import full_simple, is_trivial, left_complement, meet
+from dualbraid.oracle import cmp_dehornoy
+from dualbraid.ordering import OrderResult
 from dualbraid.words import (
     BandLetter,
     BandWord,
@@ -39,6 +42,17 @@ def relation_instances(n):
         w3 = band_word(n, [(a, c), (a, b)])
         out.extend([(w1, w2), (w2, w3), (w1, w3)])
     return out
+
+
+def random_words(seed, strands, max_length, per_n):
+    """Seeded random band words, per_n of them for each strand count."""
+    rng = random.Random(seed)
+    words = []
+    for n in strands:
+        gens = enumeration.generators(n)
+        for _ in range(per_n):
+            words.append(BandWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, max_length)))))
+    return words
 
 
 def test_gnf_examples():
@@ -102,11 +116,16 @@ def test_push_rule(n):
 
 
 def test_gnf_factors_are_right_weighted():
-    # No part of a factor can slide into its right neighbour.
-    for w in enumeration.enumerate_elements(4, 3):
-        factors = gnf(w).factors
-        for head, tail_factor in zip(factors, factors[1:]):
+    # No factor is trivial and no part of a factor can slide into its
+    # right neighbour.  On the longer random words the appending pass
+    # cascades through several factors; handle reduction, which shares
+    # no code with garside, checks that the factors still multiply to w.
+    for w in enumeration.enumerate_elements(4, 3) + random_words(11, range(3, 7), 24, 40):
+        nf = gnf(w)
+        assert not any(is_trivial(f) for f in nf.factors)
+        for head, tail_factor in zip(nf.factors, nf.factors[1:]):
             assert is_trivial(meet(head, left_complement(tail_factor)))
+        assert cmp_dehornoy(nf.word(), w) is OrderResult.EQUAL
 
 
 def test_gnf_is_a_congruence_invariant():
@@ -161,10 +180,21 @@ def test_tail_right_divides_and_strips():
 
 
 def test_split_tail_recombines():
-    for w in enumeration.enumerate_elements(4, 3):
-        for m in (2, 3):
-            t, remainder = split_tail(gnf(w), m)
+    # Both parts come out as normal forms, with no normalization of their own.
+    for w in enumeration.enumerate_elements(4, 3) + random_words(12, range(5, 8), 20, 25):
+        nf = gnf(w)
+        for m in range(2, w.n):
+            t, remainder = split_tail(nf, m)
+            assert t == gnf(t.word())
+            assert remainder == gnf(remainder.word())
             assert equal(remainder.word() * t.word(), w)
+
+
+def test_split_tail_rejects_m_out_of_range():
+    nf = gnf(band_word(4, [(1, 4), (2, 3), (1, 2)]))
+    for m in (0, 1, 4, 5):
+        with pytest.raises(ValueError):
+            split_tail(nf, m)
 
 
 def test_tail_matches_brute_force_small():
