@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 contract violation
-(including an oracle failure, such as a reduction that outgrows its
-length ceiling, and a size beyond the limits below: normalizing costs
-about n^2 per letter, and enum-verify compares every pair of the words
-it enumerates), 3 verification mismatch.
+Exit codes: 0 success, 1 usage or parse failure (argparse's own errors
+included), 2 contract violation (including an oracle failure, such as a
+reduction that outgrows its length ceiling, and a size beyond the limits
+below: normalizing costs about n^2 per letter, and enum-verify compares
+every pair of the words it enumerates), 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -28,26 +28,40 @@ MAX_ENUM_WORDS = 10_000
 _VERDICT = {OrderResult.LESS: "LT", OrderResult.EQUAL: "EQ", OrderResult.GREATER: "GT"}
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers are built from this class too, so every argparse error exits EXIT_USAGE.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="dualbraid",
         description="Dual braid monoid engine: rotating normal form and ordering.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--strands", "-n", type=int, required=True, help=f"2 to {MAX_STRANDS}")
+        p.set_defaults(run=handler)
         return p
 
-    add("normalize", "print the rotating normal form of a band word").add_argument("word")
-    add("compare", "compare two band words in both orderings").add_argument(
+    add("normalize", _cmd_normalize, "print the rotating normal form of a band word").add_argument(
+        "word"
+    )
+    add("compare", _cmd_compare, "compare two band words in both orderings").add_argument(
         "words", nargs=2
     )
-    add("split", "print the rotation splitting of a band word").add_argument("word")
-    add("tree", "print the iterated splitting tree as nested arrays").add_argument("word")
-    add("oracle", "print the sigma-classification of an Artin word").add_argument("word")
-    verify = add("enum-verify", "exhaustively cross-check both orderings")
+    add("split", _cmd_split, "print the rotation splitting of a band word").add_argument("word")
+    add("tree", _cmd_tree, "print the iterated splitting tree as nested arrays").add_argument(
+        "word"
+    )
+    add("oracle", _cmd_oracle, "print the sigma-classification of an Artin word").add_argument(
+        "word"
+    )
+    verify = add("enum-verify", _cmd_enum_verify, "exhaustively cross-check both orderings")
     verify.add_argument("--max-length", type=int, default=3, help="longest word enumerated")
     return top
 
@@ -135,22 +149,12 @@ def _cmd_enum_verify(args) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "compare": _cmd_compare,
-    "split": _cmd_split,
-    "tree": _cmd_tree,
-    "oracle": _cmd_oracle,
-    "enum-verify": _cmd_enum_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if not 2 <= args.strands <= MAX_STRANDS:
             raise ValueError(f"--strands must be between 2 and {MAX_STRANDS}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except parser.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

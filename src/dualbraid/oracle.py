@@ -34,6 +34,7 @@ class SigmaClass:
 
 
 TRIVIAL = SigmaClass(SigmaKind.TRIVIAL)
+MAX_LENGTH = 10**6  # letters an intermediate word of handle_reduce may reach
 
 
 class OracleError(RuntimeError):
@@ -41,7 +42,7 @@ class OracleError(RuntimeError):
 
 
 class ReductionOverflow(OracleError):
-    """The intermediate word exceeded the configured length ceiling."""
+    """The intermediate word exceeded the length ceiling MAX_LENGTH."""
 
 
 def free_reduce(w: ArtinWord) -> ArtinWord:
@@ -66,7 +67,7 @@ def _find_handle(letters: tuple[ArtinLetter, ...]) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce(w: ArtinWord, max_length: int = 10**6) -> ArtinWord:
+def handle_reduce(w: ArtinWord) -> ArtinWord:
     """Reduce w until it is freely reduced and handle-free.
 
     The result represents the same group element; it is empty or has a
@@ -95,13 +96,13 @@ def handle_reduce(w: ArtinWord, max_length: int = 10**6) -> ArtinWord:
         current = free_reduce(
             ArtinWord(w.n, letters[:s] + tuple(replacement) + letters[t + 1 :])
         )
-        if len(current) > max_length:
-            raise ReductionOverflow(f"word grew past {max_length} letters")
+        if len(current) > MAX_LENGTH:
+            raise ReductionOverflow(f"word grew past {MAX_LENGTH} letters")
 
 
-def sigma_class(w: ArtinWord, max_length: int = 10**6) -> SigmaClass:
+def sigma_class(w: ArtinWord) -> SigmaClass:
     """Classify the group element of w as trivial, positive or negative."""
-    reduced = handle_reduce(w, max_length=max_length)
+    reduced = handle_reduce(w)
     if not reduced.letters:
         return TRIVIAL
     top = max(letter.i for letter in reduced.letters)

@@ -19,7 +19,6 @@ from .words import (
     BandLetter,
     BandWord,
     band_word,
-    phi,
     phi_letter,
 )
 
@@ -104,11 +103,8 @@ def separator(n: int, r: int) -> BandWord:
         raise ValueError("need n >= 3 and r >= 0")
     if r == 0:
         return band_word(n, [(n - 1, n)])
-    seed = band_word(n, [(n - 2, n - 1)])
-    out = BandWord(n)
-    for k in range(r + 1, 1, -1):
-        out = out * phi(n, k, seed)
-    return out
+    rung = BandLetter(n - 2, n - 1)
+    return BandWord(n, tuple(phi_letter(n, k, rung) for k in range(r + 1, 1, -1)))
 
 
 SplittingTree = Union[int, tuple]  # nested tuples with int leaves
@@ -147,38 +143,26 @@ def is_ladder(
     straddling fk, and the last letter of w has the form a(.,n-1).  For
     i = n-1 the convention only requires the last-letter condition.
 
+    No segment may hold a letter straddling its level, so the first such
+    letter after a bar is forced to be the next bar: one left-to-right
+    scan finds the decomposition, which is unique when it exists.
     Returns a bool, or (bool, witness) when with_witness is set; the
-    witness is the leftmost-greedy list of (position, rung_top) pairs.
+    witness is that decomposition's list of (position, rung_top) pairs.
     """
     if not (1 <= i <= n - 1):
         raise ValueError("lent index out of range")
     letters = w.letters
     if not letters or letters[-1].q != n - 1:
         return (False, None) if with_witness else False
-    if i == n - 1:
-        return (True, []) if with_witness else True
-
-    def segment_clear(start: int, stop: int, level: int) -> bool:
-        return all(
-            not (l.p < level < l.q) for l in letters[start:stop]
-        )
-
-    def search(pos: int, level: int, bars: list[tuple[int, int]]):
-        # Scan for the next bar left to right; the leftmost usable bar is
-        # tried first, giving the leftmost-greedy witness.
-        for t in range(pos, len(letters)):
-            e, f = letters[t]
-            if e < level < f and segment_clear(pos, t, level):
-                if f == n - 1:
-                    return bars + [(t, f)]
-                found = search(t + 1, f, bars + [(t, f)])
-                if found is not None:
-                    return found
-        return None
-
-    witness = search(0, i, [])
-    ok = witness is not None
-    return (ok, witness) if with_witness else ok
+    level, bars = i, []
+    for t, (e, f) in enumerate(letters):
+        if level == n - 1:
+            break
+        if e < level < f:
+            level = f
+            bars.append((t, f))
+    ok = level == n - 1
+    return (ok, bars if ok else None) if with_witness else ok
 
 
 def dangerous_braid(indices: list[int], n: int) -> ArtinWord:

@@ -222,3 +222,31 @@ def test_cli_oracle_failure_exit_code(capsys, monkeypatch):
 def test_cli_usage_error_on_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize", "-n", "x", "1"], ["frobnicate"], ["compare", "-n", "3", "a(1,3)"]],
+)
+def test_cli_argparse_errors_exit_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_reduction_ceiling_is_enforced(capsys, monkeypatch):
+    # Reducing the handle s2 s1 s1 s2^-1 yields six letters, past a ceiling of 3.
+    monkeypatch.setattr(oracle, "MAX_LENGTH", 3)
+    with pytest.raises(oracle.ReductionOverflow, match="word grew past 3 letters"):
+        oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (1, 1), (2, -1)]))
+    assert cli.main(["oracle", "-n", "3", "s2 s1 s1 s2^-1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: word grew past 3 letters"

@@ -1,7 +1,7 @@
 """Splittings, the rotating normal form, separators, trees and ladders."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -206,6 +206,55 @@ def test_is_ladder_witness_positions():
     assert ok and witness == [(1, 3), (2, 4)]
     # a(3,4) cannot serve as the top bar from level 3: its foot is not below 3.
     assert not is_ladder(band_word(5, [(1, 2), (1, 3), (3, 4)]), 2, 5)
+
+
+def ladder_decompositions(w, i, n):
+    """Every bar list meeting is_ladder's definition, by trying all bar positions."""
+    letters = w.letters
+    if not letters or letters[-1].q != n - 1:
+        return []
+    found = []
+    # Bar tops climb strictly from i to n-1, so there are at most n-1-i bars.
+    for h in range(n - i):
+        for ts in combinations(range(len(letters)), h):
+            levels = [i] + [letters[t].q for t in ts]
+            if levels[-1] != n - 1:
+                continue
+            # Segment w_k runs from bar k (or the start) up to bar k+1.
+            starts = [0] + [t + 1 for t in ts]
+            if all(
+                letters[t].p < levels[k] < letters[t].q
+                and not any(l.p < levels[k] < l.q for l in letters[starts[k] : t])
+                for k, t in enumerate(ts)
+            ):
+                found.append([(t, letters[t].q) for t in ts])
+    return found
+
+
+def test_is_ladder_matches_its_definition():
+    corpus = [
+        BandWord(n, letters)
+        for n, top in ((4, 4), (5, 3))
+        for length in range(top + 1)
+        for letters in product(enumeration.generators(n), repeat=length)
+    ]
+    rng = random.Random(9)
+    for n in (4, 5, 6):
+        gens = enumeration.generators(n)
+        for _ in range(150):
+            letters = [rng.choice(gens) for _ in range(rng.randint(0, 8))]
+            if letters and rng.random() < 0.7:
+                letters[-1] = BandLetter(rng.randint(1, n - 2), n - 1)
+            corpus.append(BandWord(n, tuple(letters)))
+    positives = 0
+    for w in corpus:
+        for i in range(1, w.n):
+            found = ladder_decompositions(w, i, w.n)
+            assert len(found) <= 1
+            expected = (True, found[0]) if found else (False, None)
+            assert is_ladder(w, i, w.n, with_witness=True) == expected, (w, i)
+            positives += bool(found)
+    assert positives > 1000
 
 
 def test_splitting_entries_are_ladders():
