@@ -5,6 +5,10 @@ Classification uses the greatest-index convention: a word is positive
 generator index are positive (negative).  A handle is a subword
 s_i^e ... s_i^-e whose interior only involves indices below i;
 removing it via the braid relations preserves the group element.
+
+handle_reduce works on a list of ints, s_i^e stored as 2*i + (e < 0), so
+x ^ 1 is the inverse of x; after each handle it keeps the prefix, cancels
+at the two junctions only, and resumes the search where the word changed.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ class SigmaClass:
 
 TRIVIAL = SigmaClass(SigmaKind.TRIVIAL)
 MAX_LENGTH = 10**6  # letters an intermediate word of handle_reduce may reach
+MAX_STEPS = 10**6  # handle removals one call of handle_reduce may make
 
 
 class OracleError(RuntimeError):
@@ -42,7 +47,8 @@ class OracleError(RuntimeError):
 
 
 class ReductionOverflow(OracleError):
-    """The intermediate word exceeded the length ceiling MAX_LENGTH."""
+    """Handle reduction outgrew its bounds: a word longer than MAX_LENGTH
+    letters, or more than MAX_STEPS handle removals."""
 
 
 def free_reduce(w: ArtinWord) -> ArtinWord:
@@ -56,15 +62,18 @@ def free_reduce(w: ArtinWord) -> ArtinWord:
     return ArtinWord(w.n, tuple(stack))
 
 
-def _find_handle(letters: tuple[ArtinLetter, ...]) -> tuple[int, int] | None:
-    # Leftmost-ending handle; its interior cannot contain another handle.
-    for t, (i, sign) in enumerate(letters):
-        s = t - 1
-        while s >= 0 and letters[s].i < i:
-            s -= 1
-        if s >= 0 and letters[s].i == i and letters[s].sign == -sign:
-            return s, t
-    return None
+def _join(word: list[int], letters: list[int]) -> int:
+    # Append freely reduced letters to the freely reduced word, cancelling
+    # only at the junction; return the length the cancelling left.
+    k = 0
+    for x in letters:
+        if not word or word[-1] != x ^ 1:
+            break
+        word.pop()
+        k += 1
+    low = len(word)
+    word += letters[k:]
+    return low
 
 
 def handle_reduce(w: ArtinWord) -> ArtinWord:
@@ -73,31 +82,47 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
     The result represents the same group element; it is empty or has a
     uniform sign at its maximal index.
     """
-    current = free_reduce(w)
+    word: list[int] = []
+    for i, sign in w.letters:
+        x = 2 * i + (sign < 0)
+        if word and word[-1] == x ^ 1:
+            word.pop()
+        else:
+            word.append(x)
+    t = steps = 0
     while True:
-        found = _find_handle(current.letters)
-        if found is None:
-            return current
-        s, t = found
-        letters = current.letters
-        i, e = letters[s].i, letters[s].sign
-        replacement: list[ArtinLetter] = []
-        for letter in letters[s + 1 : t]:
-            if letter.i == i - 1:
-                replacement.extend(
-                    (
-                        ArtinLetter(i - 1, -e),
-                        ArtinLetter(i, letter.sign),
-                        ArtinLetter(i - 1, e),
-                    )
-                )
-            else:
-                replacement.append(letter)
-        current = free_reduce(
-            ArtinWord(w.n, letters[:s] + tuple(replacement) + letters[t + 1 :])
-        )
-        if len(current) > MAX_LENGTH:
+        if len(word) > MAX_LENGTH:
             raise ReductionOverflow(f"word grew past {MAX_LENGTH} letters")
+        # Leftmost-ending handle; none ends before t, and its interior
+        # cannot contain another handle.
+        for t in range(t, len(word)):
+            x = word[t]
+            top = x & ~1
+            s = t - 1
+            while s >= 0 and word[s] < top:
+                s -= 1
+            if s >= 0 and word[s] == x ^ 1:
+                break
+        else:
+            return ArtinWord(w.n, tuple(ArtinLetter(x >> 1, -1 if x & 1 else 1) for x in word))
+        steps += 1
+        if steps > MAX_STEPS:
+            raise ReductionOverflow(f"more than {MAX_STEPS} handle removals")
+        # s_i^e v s_i^-e becomes v with each s_(i-1)^f in it replaced by
+        # s_(i-1)^-e s_i^f s_(i-1)^e; neighbouring triples cancel in between.
+        below, e = top - 2, word[s] & 1
+        replacement: list[int] = []
+        for y in word[s + 1 : t]:
+            if y & ~1 != below:
+                replacement.append(y)
+            elif replacement and replacement[-1] == below | e:
+                replacement[-1] = top | (y & 1)
+                replacement.append(below | e)
+            else:
+                replacement += (below | (e ^ 1), top | (y & 1), below | e)
+        suffix = word[t + 1 :]
+        del word[s:]
+        t = min(_join(word, replacement), _join(word, suffix))
 
 
 def sigma_class(w: ArtinWord) -> SigmaClass:

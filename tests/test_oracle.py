@@ -28,6 +28,32 @@ def artin_words(max_n=6, max_len=30):
     )
 
 
+def find_handle(letters):
+    # Leftmost-ending handle, searched from the start of the word.
+    for t, (i, sign) in enumerate(letters):
+        s = t - 1
+        while s >= 0 and letters[s].i < i:
+            s -= 1
+        if s >= 0 and letters[s] == (i, -sign):
+            return s, t
+    return None
+
+
+def rescanning_reduce(w: ArtinWord) -> ArtinWord:
+    """Reference handle reduction on letter tuples: free-reduce the whole
+    word after every handle and search for the next one from position 0."""
+    current = free_reduce(w)
+    while (found := find_handle(current.letters)) is not None:
+        s, t = found
+        letters = current.letters
+        i, e = letters[s]
+        replacement = []
+        for j, f in letters[s + 1 : t]:
+            replacement += [(i - 1, -e), (i, f), (i - 1, e)] if j == i - 1 else [(j, f)]
+        current = free_reduce(artin_word(w.n, letters[:s] + tuple(replacement) + letters[t + 1 :]))
+    return current
+
+
 def test_free_reduce_examples():
     assert free_reduce(artin_word(3, [(1, 1), (1, -1)])) == ArtinWord(3)
     w = artin_word(3, [(1, 1), (2, 1)])
@@ -74,6 +100,12 @@ def test_reduced_word_has_no_handle(w):
         for t in range(s + 1, len(letters)):
             if letters[s].i == letters[t].i and letters[s].sign == -letters[t].sign:
                 assert any(l.i >= letters[s].i for l in letters[s + 1 : t])
+
+
+@settings(max_examples=200, deadline=None)
+@given(artin_words(max_n=8, max_len=40))
+def test_handle_order_matches_rescanning_reference(w):
+    assert handle_reduce(w).letters == rescanning_reduce(w).letters
 
 
 def test_positive_band_words_classify_positive():

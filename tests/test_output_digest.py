@@ -6,6 +6,8 @@ DIGEST was taken before the permutation kernel replaced the partition
 arithmetic, and LONG_DIGEST, on longer words over more strands, before
 normalization became one appending pass per simple; a change that moves
 either changes what the engine computes, not only how fast.
+ORACLE_DIGEST pins handle reduction the same way: it was taken while the
+oracle still rescanned its word from the start after every handle.
 """
 
 import hashlib
@@ -14,12 +16,14 @@ from itertools import combinations
 
 from dualbraid import enumeration
 from dualbraid.garside import gnf
+from dualbraid.oracle import handle_reduce, sigma_class
 from dualbraid.ordering import rotating_key
 from dualbraid.rotating import rnf, splitting_tree
-from dualbraid.words import BandLetter, BandWord
+from dualbraid.words import ArtinWord, BandLetter, BandWord, band_to_artin, invert
 
 DIGEST = "2655768f863b71ab2b01564147255227d30244ae5cf8fd8e9cc4e8acc52b98d7"
 LONG_DIGEST = "8551ab19ce3dbf19cd2414ecb642552673ee68825d1cf5c6f5b2cc492a8988c8"
+ORACLE_DIGEST = "2845d45fc00e1aa8621ff58affde8239ebfb37d0e879109e3acec24139476edb"
 
 
 def corpus() -> list[BandWord]:
@@ -58,3 +62,33 @@ def test_long_word_output_digest():
         record = (w.n, gnf(w).factors, rotating_key(w))
         h.update(repr(record).encode() + b"\n")
     assert h.hexdigest() == LONG_DIGEST
+
+
+def quotient_corpus() -> list[ArtinWord]:
+    """300 seeded quotients u^-1 v at n = 5, 6 and L = 16..32.
+
+    In every fourth one v is u x for a positive x of 1..4 letters, written
+    as its rotating normal form, so that u^-1 v is positive but free
+    cancellation alone does not reduce it; the normal form is unique, so
+    this pins only the oracle.
+    """
+    rng = random.Random(20261020)
+    words = []
+    for k in range(300):
+        n = rng.choice((5, 6))
+        gens = [BandLetter(p, q) for p, q in combinations(range(1, n + 1), 2)]
+        u = BandWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(16, 32))))
+        if k % 4 == 0:
+            v = rnf(u * BandWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(1, 4)))))
+        else:
+            v = BandWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(16, 32))))
+        words.append(invert(band_to_artin(u)) * band_to_artin(v))
+    return words
+
+
+def test_oracle_output_digest():
+    h = hashlib.sha256()
+    for w in quotient_corpus():
+        record = (w.n, tuple(map(tuple, handle_reduce(w).letters)), str(sigma_class(w)))
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == ORACLE_DIGEST

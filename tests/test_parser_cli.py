@@ -250,3 +250,35 @@ def test_reduction_ceiling_is_enforced(capsys, monkeypatch):
         oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (1, 1), (2, -1)]))
     assert cli.main(["oracle", "-n", "3", "s2 s1 s1 s2^-1"]) == 2
     assert capsys.readouterr().err.strip() == "error: word grew past 3 letters"
+
+
+def test_reduction_ceiling_holds_at_entry_and_during_reduction(capsys, monkeypatch):
+    # s1^5 is free- and handle-reduced already; its length alone is past 3.
+    monkeypatch.setattr(oracle, "MAX_LENGTH", 3)
+    with pytest.raises(oracle.ReductionOverflow, match="word grew past 3 letters"):
+        oracle.sigma_class(artin_word(3, [(1, 1)] * 5))
+    assert cli.main(["oracle", "-n", "3", "s1 s1 s1 s1 s1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: word grew past 3 letters"
+    # s3 s2 s1 s2 s3^-1 fits a ceiling of 6 and grows to seven letters.
+    growing = artin_word(4, [(3, 1), (2, 1), (1, 1), (2, 1), (3, -1)])
+    monkeypatch.setattr(oracle, "MAX_LENGTH", 6)
+    with pytest.raises(oracle.ReductionOverflow, match="word grew past 6 letters"):
+        oracle.handle_reduce(growing)
+    monkeypatch.setattr(oracle, "MAX_LENGTH", 7)
+    assert len(oracle.handle_reduce(growing)) == 7
+
+
+def test_reduction_step_budget_is_enforced(capsys, monkeypatch):
+    # s2 s1 s2^-1 s2^-1 needs two handle removals, s2^-1 s1 s2 one.
+    monkeypatch.setattr(oracle, "MAX_STEPS", 1)
+    assert oracle.handle_reduce(artin_word(3, [(2, -1), (1, 1), (2, 1)])) == artin_word(
+        3, [(1, 1), (2, 1), (1, -1)]
+    )
+    with pytest.raises(oracle.ReductionOverflow, match="more than 1 handle removals"):
+        oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (2, -1), (2, -1)]))
+    assert cli.main(["oracle", "-n", "3", "s2 s1 s2^-1 s2^-1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: more than 1 handle removals"
+    monkeypatch.setattr(oracle, "MAX_STEPS", 2)
+    assert oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (2, -1), (2, -1)])) == artin_word(
+        3, [(1, -1), (1, -1), (2, 1), (1, 1)]
+    )
