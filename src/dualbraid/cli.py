@@ -138,11 +138,11 @@ def _cmd_enum_verify(args) -> int:
         if w.is_trivial_word():
             continue
         checked += 1
-        split = rotating.splitting(w)
         if not garside.equal(rotating.rnf(w), w):
             failed += 1
             print(f"NORMAL FORM MISMATCH: {w}")
-        if split.breadth >= 2 and not split.forms[0].factors:
+        forms = rotating.splitting(w).forms if n >= 3 else ()  # splittings need n >= 3
+        if len(forms) >= 2 and not forms[0].factors:
             failed += 1
             print(f"SPLITTING HEAD TRIVIAL: {w}")
     print(f"total: {checked - failed}/{checked} checks passed")

@@ -91,6 +91,15 @@ def right_quotient(w: BandWord, g: BandWord) -> BandWord:
     return quotient.word()
 
 
+def _split_tail(n: int, factors: tuple[Perm, ...], m: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
+    collected = []
+    while factors and not ncp.is_trivial(s := ncp.meet(factors[-1], delta_m)):
+        factors = _divide_last(factors, s)
+        collected.append(s)
+    return tuple(reversed(collected)), factors
+
+
 def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
     """Split nf as remainder * tail, the tail maximal in the m-strand submonoid.
 
@@ -102,18 +111,9 @@ def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
     trivial collects the tail, and the meets, the last collected first,
     are its normal form.
     """
-    n = nf.n
-    if not (2 <= m < n):
+    if not (2 <= m < nf.n):
         raise ValueError("m must satisfy 2 <= m < n")
-    delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
-    factors, collected = nf.factors, []
-    while factors:
-        s = ncp.meet(factors[-1], delta_m)
-        if ncp.is_trivial(s):
-            break
-        factors = _divide_last(factors, s)
-        collected.append(s)
-    return GreedyNF(n, tuple(reversed(collected))), GreedyNF(n, factors)
+    return tuple(GreedyNF(nf.n, factors) for factors in _split_tail(nf.n, nf.factors, m))
 
 
 def tail(w: BandWord, m: int) -> BandWord:

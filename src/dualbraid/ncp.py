@@ -15,8 +15,7 @@ partition is built and nothing is sorted.  With l(x) = n - #cycles(x),
 a product a*b is simple iff l(ab) = l(a) + l(b) and l(ab) + l((ab)^-1
 Delta) = n - 1.  The hot operations are memoized, each in a cache of at
 most CACHE_SIZE entries.  NonCrossingPartition, with its full crossing
-check, lives at the edge only: ncp_to_perm and perm_to_ncp convert,
-for printing, for ncp_word and for tests.
+check, lives at the edge only, converted by ncp_to_perm and perm_to_ncp.
 """
 
 from __future__ import annotations
@@ -219,5 +218,5 @@ def rotate(simple: Perm, k: int) -> Perm:
 
 def ncp_word(simple: Perm) -> BandWord:
     """A positive word representing the simple element."""
-    part = perm_to_ncp(len(simple), simple)
-    return band_word(part.n, [pair for block in part.blocks for pair in zip(block, block[1:])])
+    blocks = _blocks(_cycle_labels(simple))
+    return band_word(len(simple), [pair for block in blocks for pair in zip(block, block[1:])])

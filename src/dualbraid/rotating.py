@@ -47,26 +47,24 @@ class Splitting:
         return tuple(form.word() for form in self.forms)
 
 
-def _split(nf: garside.GreedyNF) -> Splitting:
-    n, forms, remainder = nf.n, [], nf
+def _split(n: int, factors: tuple[ncp.Perm, ...]) -> tuple[tuple[ncp.Perm, ...], ...]:
+    entries = []
     while True:
-        part, remainder = garside.split_tail(remainder, n - 1)
+        part, factors = garside._split_tail(n, factors, n - 1)
         # Tail factors fix n, so dropping the last point leaves the
         # entry's normal form on n-1 strands.
-        restricted = tuple(f[:-1] for f in part.factors)
-        forms.append(garside.GreedyNF(n - 1, restricted))
-        if not remainder.factors:
-            break
+        entries.append(tuple(f[:-1] for f in part))
+        if not factors:
+            return tuple(reversed(entries))
         # phi^-1 is an automorphism, so it maps a normal form to a normal form.
-        remainder = garside.GreedyNF(n, tuple(ncp.rotate(f, -1) for f in remainder.factors))
-    return Splitting(n, tuple(reversed(forms)))
+        factors = tuple(ncp.rotate(f, -1) for f in factors)
 
 
 def splitting(w: BandWord) -> Splitting:
     """Compute the unique rotation splitting of w (n >= 3)."""
     if w.n < 3:
         raise ValueError("splitting requires at least 3 strands")
-    return _split(garside.gnf(w))
+    return Splitting(w.n, tuple(garside.GreedyNF(w.n - 1, e) for e in _split(w.n, garside.gnf(w).factors)))
 
 
 def breadth(w: BandWord) -> int:
@@ -113,23 +111,14 @@ SplittingTree = Union[int, tuple]  # nested tuples with int leaves
 def splitting_tree(w: BandWord) -> SplittingTree:
     """Fully iterated splitting: a depth n-2 tree with natural-number leaves."""
 
-    def subtree(form: garside.GreedyNF) -> SplittingTree:
-        if form.n == 2:
-            return len(form.factors)
-        return tuple(subtree(f) for f in _split(form).forms)
+    def subtree(n: int, factors: tuple[ncp.Perm, ...]) -> SplittingTree:
+        if n == 2:
+            return len(factors)
+        return tuple(subtree(n - 1, e) for e in _split(n, factors))
 
     if w.n == 2:
-        return subtree(garside.gnf(w))
-    return tuple(subtree(f) for f in splitting(w).forms)
-
-
-def tree_depth(tree: SplittingTree) -> int:
-    if isinstance(tree, int):
-        return 0
-    depths = {tree_depth(child) for child in tree}
-    if len(depths) != 1:
-        raise ValueError("ragged splitting tree")
-    return depths.pop() + 1
+        return subtree(2, garside.gnf(w).factors)
+    return tuple(subtree(w.n - 1, f.factors) for f in splitting(w).forms)
 
 
 def is_ladder(
@@ -149,6 +138,8 @@ def is_ladder(
     Returns a bool, or (bool, witness) when with_witness is set; the
     witness is that decomposition's list of (position, rung_top) pairs.
     """
+    if w.n != n:
+        raise ValueError("strand count mismatch")
     if not (1 <= i <= n - 1):
         raise ValueError("lent index out of range")
     letters = w.letters

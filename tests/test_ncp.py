@@ -24,7 +24,7 @@ from dualbraid.ncp import (
     simple_product,
     trivial_simple,
 )
-from dualbraid.words import BandLetter, garside_word, phi
+from dualbraid.words import BandLetter, band_word, garside_word, phi
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 
@@ -218,6 +218,14 @@ def test_ncp_word_represents_the_simple(n):
         if is_trivial(simple):
             continue
         assert garside.gnf(ncp_word(simple)).factors == (simple,)
+
+
+def test_ncp_word_reads_the_partition_blocks():
+    for n in range(2, 8):
+        for simple in all_simples(n):
+            blocks = perm_to_ncp(n, simple).blocks
+            pairs = [pair for block in blocks for pair in zip(block, block[1:])]
+            assert ncp_word(simple) == band_word(n, pairs)
 
 
 def test_length_is_reflection_length():

@@ -8,6 +8,9 @@ normalization became one appending pass per simple; a change that moves
 either changes what the engine computes, not only how fast.
 ORACLE_DIGEST pins handle reduction the same way: it was taken while the
 oracle still rescanned its word from the start after every handle.
+SPLITTING_DIGEST pins every splitting and every tail split, entry by
+entry; it was taken while each splitting round still wrapped its factor
+tuples in GreedyNF objects.
 """
 
 import hashlib
@@ -15,15 +18,16 @@ import random
 from itertools import combinations
 
 from dualbraid import enumeration
-from dualbraid.garside import gnf
+from dualbraid.garside import gnf, split_tail
 from dualbraid.oracle import handle_reduce, sigma_class
 from dualbraid.ordering import rotating_key
-from dualbraid.rotating import rnf, splitting_tree
+from dualbraid.rotating import rnf, splitting, splitting_tree
 from dualbraid.words import ArtinWord, BandLetter, BandWord, band_to_artin, invert
 
 DIGEST = "2655768f863b71ab2b01564147255227d30244ae5cf8fd8e9cc4e8acc52b98d7"
 LONG_DIGEST = "8551ab19ce3dbf19cd2414ecb642552673ee68825d1cf5c6f5b2cc492a8988c8"
 ORACLE_DIGEST = "2845d45fc00e1aa8621ff58affde8239ebfb37d0e879109e3acec24139476edb"
+SPLITTING_DIGEST = "9d12a87dd9cf364af914f1d8d871b35d0916eae98ee2d0e8fdc9c087fd71cf8b"
 
 
 def corpus() -> list[BandWord]:
@@ -62,6 +66,16 @@ def test_long_word_output_digest():
         record = (w.n, gnf(w).factors, rotating_key(w))
         h.update(repr(record).encode() + b"\n")
     assert h.hexdigest() == LONG_DIGEST
+
+
+def test_splitting_output_digest():
+    h = hashlib.sha256()
+    for w in corpus() + long_corpus():
+        nf = gnf(w)
+        forms = tuple((f.n, f.factors) for f in splitting(w).forms)
+        tails = tuple((t.factors, r.factors) for t, r in (split_tail(nf, m) for m in range(2, w.n)))
+        h.update(repr((w.n, forms, tails)).encode() + b"\n")
+    assert h.hexdigest() == SPLITTING_DIGEST
 
 
 def quotient_corpus() -> list[ArtinWord]:

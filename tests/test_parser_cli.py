@@ -126,6 +126,18 @@ def test_cli_enum_verify(capsys):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+def test_cli_two_strands_have_no_splittings(capsys):
+    # split refuses n = 2, and enum-verify checks only the normal forms there.
+    assert cli.main(["split", "-n", "2", "a(1,2)"]) == 2
+    assert "at least 3 strands" in capsys.readouterr().err
+    assert cli.main(["enum-verify", "-n", "2", "--max-length", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "4 elements of length <= 3 at n=2",
+        "ordering agreement: 6/6 pairs",
+        "total: 9/9 checks passed",
+    ]
+
+
 def test_cli_enum_verify_keys_each_element_once(capsys, monkeypatch):
     keyed = []
 

@@ -16,7 +16,6 @@ from dualbraid.rotating import (
     separator,
     splitting,
     splitting_tree,
-    tree_depth,
 )
 from dualbraid.words import (
     BandLetter,
@@ -27,6 +26,16 @@ from dualbraid.words import (
     phi,
     widen,
 )
+
+
+def tree_depth(tree):
+    """Depth of a splitting tree; raises on a ragged one."""
+    if isinstance(tree, int):
+        return 0
+    depths = {tree_depth(child) for child in tree}
+    if len(depths) != 1:
+        raise ValueError("ragged splitting tree")
+    return depths.pop() + 1
 
 
 def reconstruct(n, entries):
@@ -197,6 +206,11 @@ def test_last_letter_property_on_enumerated_splittings():
 def test_is_ladder_convention_and_counterexample():
     assert is_ladder(band_word(5, [(1, 4)]), 4, 5)
     assert not is_ladder(band_word(5, [(1, 2)]), 2, 5)
+
+
+def test_is_ladder_rejects_strand_count_mismatch():
+    with pytest.raises(ValueError, match="strand count mismatch"):
+        is_ladder(band_word(4, [(1, 4)]), 4, 5)
 
 
 def test_is_ladder_witness_positions():
