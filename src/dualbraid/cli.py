@@ -16,13 +16,13 @@ from itertools import combinations
 
 from . import enumeration, garside, oracle, ordering, parser, rotating
 from .ordering import OrderResult
+from .words import MAX_STRANDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_MISMATCH = 3
 
-MAX_STRANDS = 32
 MAX_ENUM_WORDS = 10_000
 
 _VERDICT = {OrderResult.LESS: "LT", OrderResult.EQUAL: "EQ", OrderResult.GREATER: "GT"}

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 from .ordering import OrderResult
-from .words import ArtinLetter, ArtinWord, BandWord, band_to_artin, invert
+from .words import ArtinWord, BandWord, _tables
 
 
 class SigmaKind(enum.Enum):
@@ -51,15 +52,22 @@ class ReductionOverflow(OracleError):
     letters, or more than MAX_STEPS handle removals."""
 
 
+def _free_codes(w: ArtinWord) -> list[int]:
+    # The letters of w as ints, with adjacent inverse pairs cancelled.
+    codes = _tables(w.n)[1]
+    word: list[int] = []
+    for x in map(codes.__getitem__, w.letters):
+        if word and word[-1] == x ^ 1:
+            word.pop()
+        else:
+            word.append(x)
+    return word
+
+
 def free_reduce(w: ArtinWord) -> ArtinWord:
     """Cancel adjacent pairs s_i^e s_i^-e until none remain."""
-    stack: list[ArtinLetter] = []
-    for letter in w.letters:
-        if stack and stack[-1].i == letter.i and stack[-1].sign == -letter.sign:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return ArtinWord(w.n, tuple(stack))
+    decode = _tables(w.n)[2]
+    return ArtinWord(w.n, tuple(map(decode.__getitem__, _free_codes(w))))
 
 
 def _join(word: list[int], letters: list[int]) -> int:
@@ -82,13 +90,8 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
     The result represents the same group element; it is empty or has a
     uniform sign at its maximal index.
     """
-    word: list[int] = []
-    for i, sign in w.letters:
-        x = 2 * i + (sign < 0)
-        if word and word[-1] == x ^ 1:
-            word.pop()
-        else:
-            word.append(x)
+    decode = _tables(w.n)[2]
+    word = _free_codes(w)
     t = steps = 0
     while True:
         if len(word) > MAX_LENGTH:
@@ -104,7 +107,7 @@ def handle_reduce(w: ArtinWord) -> ArtinWord:
             if s >= 0 and word[s] == x ^ 1:
                 break
         else:
-            return ArtinWord(w.n, tuple(ArtinLetter(x >> 1, -1 if x & 1 else 1) for x in word))
+            return ArtinWord(w.n, tuple(map(decode.__getitem__, word)))
         steps += 1
         if steps > MAX_STEPS:
             raise ReductionOverflow(f"more than {MAX_STEPS} handle removals")
@@ -142,7 +145,10 @@ def cmp_dehornoy(u: BandWord, v: BandWord) -> OrderResult:
     """Compare two positive band words in the braid ordering via the oracle."""
     if u.n != v.n:
         raise ValueError("strand count mismatch")
-    quotient = invert(band_to_artin(u)) * band_to_artin(v)
+    # u^-1 v from the cached expansions of the letters: u's inverted, in reverse.
+    _, _, _, up, down = _tables(u.n)
+    inverse_u = chain.from_iterable(map(down.__getitem__, reversed(u.letters)))
+    quotient = ArtinWord(u.n, (*inverse_u, *chain.from_iterable(map(up.__getitem__, v.letters))))
     verdict = sigma_class(quotient)
     if verdict.kind is SigmaKind.TRIVIAL:
         return OrderResult.EQUAL

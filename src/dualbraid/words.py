@@ -6,12 +6,21 @@ monoid on n strands.  An Artin word is a signed word in the classical
 generators s1, ..., s(n-1) and may represent any element of the braid
 group.  Both carriers are immutable; every operation returns a fresh
 value.
+
+Letters are interned per strand count, in tables filled on first use: a
+band word's letters are looked up in its table in one pass, which checks
+and interns them, and an Artin word's letters are checked against the
+table without being copied.  The table also holds each band letter's
+Artin expansion and that expansion's inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
+
+MAX_STRANDS = 32  # strand counts beyond this are refused: tables and normal forms grow as n^2
 
 
 class BandLetter(NamedTuple):
@@ -39,10 +48,15 @@ class BandWord:
     letters: tuple[BandLetter, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("strand count must be at least 2")
-        for letter in self.letters:
-            letter.validate(self.n)
+        band = _tables(self.n)[0]
+        try:
+            letters = tuple(map(band.__getitem__, self.letters))
+        except (KeyError, TypeError):  # a bad letter, or (p, q) given as a list
+            for p, q in self.letters:
+                if (p, q) not in band:
+                    raise ValueError(f"letter a({p},{q}) is invalid on {self.n} strands") from None
+            letters = tuple(band[p, q] for p, q in self.letters)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -77,13 +91,16 @@ class ArtinWord:
     letters: tuple[ArtinLetter, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("strand count must be at least 2")
-        for i, sign in self.letters:
-            if not (1 <= i <= self.n - 1):
-                raise ValueError(f"index {i} out of range on {self.n} strands")
-            if sign not in (1, -1):
-                raise ValueError(f"invalid sign {sign}")
+        codes = _tables(self.n)[1]
+        if not isinstance(self.letters, tuple):
+            object.__setattr__(self, "letters", tuple(self.letters))
+        if not all(map(codes.__contains__, self.letters)):
+            for i, sign in self.letters:
+                if not (1 <= i <= self.n - 1):
+                    raise ValueError(f"index {i} out of range on {self.n} strands")
+                if sign not in (1, -1):
+                    raise ValueError(f"invalid sign {sign}")
+            raise ValueError("an Artin letter must be a pair of ints (index, sign)")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -97,9 +114,36 @@ class ArtinWord:
         return " ".join(str(l) for l in self.letters) if self.letters else "1"
 
 
+# Letters on each strand count n, filled on first use; at most one entry
+# per n in 2..MAX_STRANDS.  An entry is (band letters by (p, q), Artin
+# letters' codes 2*i + (sign < 0), the Artin letters by code, each band
+# letter's Artin expansion, and the inverse of that expansion).
+_TABLES: dict[int, tuple[dict, dict, list, dict, dict]] = {}
+
+
+def _tables(n: int) -> tuple[dict, dict, list, dict, dict]:
+    table = _TABLES.get(n)
+    if table is not None:
+        return table
+    if not 2 <= n <= MAX_STRANDS:
+        raise ValueError(f"strand count must be between 2 and {MAX_STRANDS}")
+    decode = [None, None] + [ArtinLetter(x >> 1, -1 if x & 1 else 1) for x in range(2, 2 * n)]
+    codes = {letter: x for x, letter in enumerate(decode[2:], 2)}
+    band, up, down = {}, {}, {}
+    for q in range(2, n + 1):
+        for p in range(1, q):
+            letter = band[p, q] = BandLetter(p, q)
+            # a(p,q) = s_p ... s_{q-2} s_{q-1} s_{q-2}^-1 ... s_p^-1
+            word = [2 * i for i in range(p, q)] + [2 * i + 1 for i in range(q - 2, p - 1, -1)]
+            up[letter] = tuple(decode[x] for x in word)
+            down[letter] = tuple(decode[x ^ 1] for x in reversed(word))
+    table = _TABLES[n] = band, codes, decode, up, down
+    return table
+
+
 def band_word(n: int, pairs: Iterable[tuple[int, int]]) -> BandWord:
     """Convenience constructor from (p, q) pairs."""
-    return BandWord(n, tuple(BandLetter(p, q) for p, q in pairs))
+    return BandWord(n, tuple(pairs))
 
 
 def artin_word(n: int, letters: Iterable[tuple[int, int]]) -> ArtinWord:
@@ -135,7 +179,8 @@ def delta_word(p: int, q: int, n: int) -> BandWord:
     """
     if not (1 <= p <= q <= n):
         raise ValueError(f"invalid interval [{p},{q}] on {n} strands")
-    return band_word(n, [(r, r + 1) for r in range(p, q)])
+    band = _tables(n)[0]
+    return BandWord(n, tuple(band[r, r + 1] for r in range(p, q)))
 
 
 def garside_word(n: int) -> BandWord:
@@ -148,17 +193,14 @@ def band_to_artin(w: BandWord) -> ArtinWord:
 
     a(p,q) = s_p ... s_{q-2} s_{q-1} s_{q-2}^-1 ... s_p^-1.
     """
-    out: list[ArtinLetter] = []
-    for p, q in w.letters:
-        out.extend(ArtinLetter(i, 1) for i in range(p, q - 1))
-        out.append(ArtinLetter(q - 1, 1))
-        out.extend(ArtinLetter(i, -1) for i in range(q - 2, p - 1, -1))
-    return ArtinWord(w.n, tuple(out))
+    up = _tables(w.n)[3]
+    return ArtinWord(w.n, tuple(chain.from_iterable(map(up.__getitem__, w.letters))))
 
 
 def invert(w: ArtinWord) -> ArtinWord:
     """Group inverse: letterwise reversal with sign flip."""
-    return ArtinWord(w.n, tuple(ArtinLetter(i, -s) for i, s in reversed(w.letters)))
+    _, codes, decode, _, _ = _tables(w.n)
+    return ArtinWord(w.n, tuple(decode[codes[letter] ^ 1] for letter in reversed(w.letters)))
 
 
 def widen(w: BandWord, n: int) -> BandWord:
