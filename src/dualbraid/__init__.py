@@ -8,8 +8,8 @@ independent ordering oracle based on handle reduction.
 
 from .garside import GreedyNF, equal, gnf, right_divides, right_quotient, tail
 from .ncp import NonCrossingPartition, letter_simple
-from .oracle import SigmaClass, cmp_dehornoy, free_reduce, handle_reduce, sigma_class
-from .ordering import OrderResult, cmp_rotating, is_initial_segment_member, min_of_breadth, successor
+from .oracle import OracleError, SigmaClass, cmp_dehornoy, free_reduce, handle_reduce, sigma_class
+from .ordering import OrderResult, cmp_rotating, is_initial_segment_member, min_of_breadth, rotating_key, successor
 from .rotating import (
     Splitting,
     breadth,
@@ -29,6 +29,7 @@ from .words import (
     band_word,
     delta_word,
     phi,
+    widen,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "BandWord",
     "GreedyNF",
     "NonCrossingPartition",
+    "OracleError",
     "OrderResult",
     "SigmaClass",
     "Splitting",
@@ -57,13 +59,15 @@ __all__ = [
     "letter_simple",
     "min_of_breadth",
     "phi",
-    "rnf",
     "right_divides",
     "right_quotient",
+    "rnf",
+    "rotating_key",
     "separator",
     "sigma_class",
     "splitting",
     "splitting_tree",
     "successor",
     "tail",
+    "widen",
 ]

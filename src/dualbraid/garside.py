@@ -12,16 +12,15 @@ off its meets.  The monoid is only ever divided on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from . import ncp
 from .ncp import Perm
 from .words import BandWord
 
 
-@dataclass(frozen=True)
-class GreedyNF:
+class GreedyNF(NamedTuple):
     """Right-greedy factorization; the empty factor list is the trivial braid."""
 
     n: int

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .words import BandLetter, BandWord, band_word
+from .words import BandLetter, BandWord, _tables, band_word
 
 Perm = tuple[int, ...]  # perm[x-1] is the image of x, 1-based values
 
@@ -141,7 +141,8 @@ def is_trivial(simple: Perm) -> bool:
 @lru_cache(maxsize=CACHE_SIZE)
 def letter_simple(letter: BandLetter, n: int) -> Perm:
     """The simple element of the single band generator a(p,q)."""
-    letter.validate(n)
+    if letter not in _tables(n)[0]:
+        raise ValueError(f"letter a({letter[0]},{letter[1]}) is invalid on {n} strands")
     return _descending_cycles(n, [letter])
 
 

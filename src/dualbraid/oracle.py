@@ -14,8 +14,8 @@ at the two junctions only, and resumes the search where the word changed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .ordering import OrderResult
 from .words import ArtinWord, BandWord, _tables
@@ -27,8 +27,7 @@ class SigmaKind(enum.Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class SigmaClass:
+class SigmaClass(NamedTuple):
     kind: SigmaKind
     index: int | None = None
 
@@ -146,7 +145,7 @@ def cmp_dehornoy(u: BandWord, v: BandWord) -> OrderResult:
     if u.n != v.n:
         raise ValueError("strand count mismatch")
     # u^-1 v from the cached expansions of the letters: u's inverted, in reverse.
-    _, _, _, up, down = _tables(u.n)
+    _, _, _, up, down, _ = _tables(u.n)
     inverse_u = chain.from_iterable(map(down.__getitem__, reversed(u.letters)))
     quotient = ArtinWord(u.n, (*inverse_u, *chain.from_iterable(map(up.__getitem__, v.letters))))
     verdict = sigma_class(quotient)

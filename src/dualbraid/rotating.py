@@ -9,8 +9,7 @@ a(1,2)), splittings form the tree that rnf and rotating_key read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import garside, ncp
 from .words import (
@@ -23,8 +22,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """The rotation splitting (beta_b, ..., beta_1) of an n-strand element.
 
     Entries are held as right-greedy normal forms over n-1 strands,

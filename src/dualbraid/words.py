@@ -8,10 +8,9 @@ group.  Both carriers are immutable; every operation returns a fresh
 value.
 
 Letters are interned per strand count, in tables filled on first use: a
-band word's letters are looked up in its table in one pass, which checks
-and interns them, and an Artin word's letters are checked against the
-table without being copied.  The table also holds each band letter's
-Artin expansion and that expansion's inverse.
+word's letters are looked up in its table in one pass, which checks and
+interns them.  The table also holds each band letter's Artin expansion
+and that expansion's inverse.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class BandLetter(NamedTuple):
 
     p: int
     q: int
-
-    def validate(self, n: int) -> None:
-        if not (1 <= self.p < self.q <= n):
-            raise ValueError(f"letter a({self.p},{self.q}) is invalid on {n} strands")
 
     def __str__(self) -> str:
         return f"a({self.p},{self.q})"
@@ -91,16 +86,19 @@ class ArtinWord:
     letters: tuple[ArtinLetter, ...] = ()
 
     def __post_init__(self) -> None:
-        codes = _tables(self.n)[1]
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if not all(map(codes.__contains__, self.letters)):
+        artin = _tables(self.n)[5]
+        try:
+            letters = tuple(map(artin.__getitem__, self.letters))
+        except (KeyError, TypeError):  # a bad letter, or (i, sign) given as a list
             for i, sign in self.letters:
                 if not (1 <= i <= self.n - 1):
-                    raise ValueError(f"index {i} out of range on {self.n} strands")
+                    raise ValueError(f"index {i} out of range on {self.n} strands") from None
                 if sign not in (1, -1):
-                    raise ValueError(f"invalid sign {sign}")
-            raise ValueError("an Artin letter must be a pair of ints (index, sign)")
+                    raise ValueError(f"invalid sign {sign}") from None
+                if (i, sign) not in artin:
+                    raise ValueError("an Artin letter must be a pair of ints (index, sign)") from None
+            letters = tuple(artin[i, sign] for i, sign in self.letters)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -117,11 +115,12 @@ class ArtinWord:
 # Letters on each strand count n, filled on first use; at most one entry
 # per n in 2..MAX_STRANDS.  An entry is (band letters by (p, q), Artin
 # letters' codes 2*i + (sign < 0), the Artin letters by code, each band
-# letter's Artin expansion, and the inverse of that expansion).
-_TABLES: dict[int, tuple[dict, dict, list, dict, dict]] = {}
+# letter's Artin expansion, the inverse of that expansion, and the Artin
+# letters by (i, sign)).
+_TABLES: dict[int, tuple[dict, dict, list, dict, dict, dict]] = {}
 
 
-def _tables(n: int) -> tuple[dict, dict, list, dict, dict]:
+def _tables(n: int) -> tuple[dict, dict, list, dict, dict, dict]:
     table = _TABLES.get(n)
     if table is not None:
         return table
@@ -137,7 +136,7 @@ def _tables(n: int) -> tuple[dict, dict, list, dict, dict]:
             word = [2 * i for i in range(p, q)] + [2 * i + 1 for i in range(q - 2, p - 1, -1)]
             up[letter] = tuple(decode[x] for x in word)
             down[letter] = tuple(decode[x ^ 1] for x in reversed(word))
-    table = _TABLES[n] = band, codes, decode, up, down
+    table = _TABLES[n] = band, codes, decode, up, down, {letter: letter for letter in codes}
     return table
 
 
@@ -148,7 +147,7 @@ def band_word(n: int, pairs: Iterable[tuple[int, int]]) -> BandWord:
 
 def artin_word(n: int, letters: Iterable[tuple[int, int]]) -> ArtinWord:
     """Convenience constructor from (index, sign) pairs."""
-    return ArtinWord(n, tuple(ArtinLetter(i, s) for i, s in letters))
+    return ArtinWord(n, tuple(letters))
 
 
 def phi_letter(n: int, k: int, letter: BandLetter) -> BandLetter:
@@ -199,7 +198,7 @@ def band_to_artin(w: BandWord) -> ArtinWord:
 
 def invert(w: ArtinWord) -> ArtinWord:
     """Group inverse: letterwise reversal with sign flip."""
-    _, codes, decode, _, _ = _tables(w.n)
+    _, codes, decode, _, _, _ = _tables(w.n)
     return ArtinWord(w.n, tuple(decode[codes[letter] ^ 1] for letter in reversed(w.letters)))
 
 

@@ -140,6 +140,14 @@ def test_word_equality_and_hash_do_not_depend_on_the_container():
     assert hash(artin) == hash(artin_word(3, [(1, 1)]))
 
 
+def test_artin_words_intern_plain_pairs():
+    plain = ArtinWord(3, ((1, 1), (2, -1)))
+    assert str(plain) == str(artin_word(3, [(1, 1), (2, -1)])) == "s1 s2^-1"
+    assert plain.letters[0].i == 1 and plain.letters[1].sign == -1
+    assert all(type(letter) is ArtinLetter for letter in plain.letters)
+    assert ArtinWord(3, [[2, -1]]).letters[0] is plain.letters[1]
+
+
 def test_free_reduce_takes_letters_as_plain_pairs():
     w = ArtinWord(3, ((1, 1), (2, 1), (2, -1), (1, -1), (2, -1)))
     assert free_reduce(w) == artin_word(3, [(2, -1)])

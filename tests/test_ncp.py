@@ -59,6 +59,12 @@ def test_letter_ncp_examples():
     assert perm_to_ncp(3, letter_simple(BandLetter(2, 3), 3)).blocks == ((1,), (2, 3))
 
 
+@pytest.mark.parametrize("letter, n", [(BandLetter(2, 5), 4), (BandLetter(3, 2), 4), (BandLetter(0, 1), 3), ((5, 2), 4)])
+def test_letter_simple_rejects_invalid_letters(letter, n):
+    with pytest.raises(ValueError, match=rf"^letter a\({letter[0]},{letter[1]}\) is invalid on {n} strands$"):
+        letter_simple(letter, n)
+
+
 def test_crossing_blocks_rejected():
     with pytest.raises(ValueError):
         NonCrossingPartition.from_blocks(4, [[1, 3], [2, 4]])

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from brute_force import rewrites
 from dualbraid import enumeration, garside
 from dualbraid.oracle import cmp_dehornoy
 from dualbraid.ordering import (
@@ -70,7 +71,7 @@ def test_rotating_key_separates_elements_with_trivial_minimum():
     # Each element with every one-relation rewrite of its representative:
     # keys must agree exactly when the words represent one element.
     corpus = enumeration.enumerate_elements(4, 3)
-    words = corpus + [BandWord(4, r) for w in corpus for r in enumeration._rewrites(w.letters)]
+    words = corpus + [BandWord(4, r) for w in corpus for r in rewrites(w.letters)]
     pairs = {(rotating_key(w), garside.gnf(w)) for w in words}
     assert len({key for key, _ in pairs}) == len({nf for _, nf in pairs}) == len(pairs)
     trivial = rotating_key(BandWord(4))

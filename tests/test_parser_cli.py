@@ -1,5 +1,8 @@
 """Word syntax parsing and the command-line interface."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,6 +256,55 @@ def test_cli_help_exits_zero(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def cli_words():
+    well_formed = st.sampled_from(["1", "a(1,2)", "a(1,3)", "a(2,4)", "d(1,3)", "d(2,5)", "s1", "s2^-1", "s3"])
+    index = st.integers(-1, 9)
+    malformed = st.one_of(
+        st.builds("a({},{})".format, index, index),
+        st.builds("d({},{})".format, index, index),
+        st.builds("s{}".format, index),
+        st.builds("s{}^-1".format, index),
+        st.sampled_from(["s1^2", "a(1,", "a(1,2)a(2,3)", "b(1,2)", "x", "", "-"]),
+    )
+    tokens = st.lists(well_formed, max_size=3)
+    return tokens.map(" ".join) | st.tuples(tokens, malformed).map(lambda t: " ".join([*t[0], t[1]]))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["normalize", "compare", "split", "tree", "oracle", "enum-verify", "frob", ""]))
+    strands = draw(st.integers(-1, 43))
+    strands = {41: "x", 42: "3.5", 43: ""}.get(strands, strands)
+    argv = [command]
+    if not (draw(st.booleans()) and draw(st.booleans())):
+        argv += ["-n", str(strands)]
+    if command == "enum-verify":
+        # Sizes the word limit lets through run only at n <= 4 and length <= 2;
+        # larger ones would enumerate for minutes.
+        if isinstance(strands, int) and strands <= 4:
+            length = st.integers(-2, 2)
+        else:
+            length = st.integers(4, 10**9) | st.integers(-2, -1)
+        argv += ["--max-length", str(draw(length | st.sampled_from(["x", ""])))]
+    words = 2 if command == "compare" else 0 if command == "enum-verify" else 1
+    argv += [draw(cli_words()) for _ in range(draw(st.sampled_from([words, words, words, 0, 3])))]
+    if draw(st.booleans()) and draw(st.booleans()) and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--help")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_cli_exits_only_with_documented_codes(argv):
+    # Any command line returns or exits with a documented code; nothing else escapes.
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
 
 
 def test_reduction_ceiling_is_enforced(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from brute_force import rewrites
 from dualbraid import enumeration, garside, oracle
 from dualbraid.oracle import SigmaKind
 from dualbraid.rotating import (
@@ -146,7 +147,7 @@ def test_rnf_is_idempotent_and_equality_invariant():
         normal = rnf(w)
         assert garside.equal(normal, w)
         assert rnf(normal) == normal
-        for rewritten in enumeration._rewrites(w.letters):
+        for rewritten in rewrites(w.letters):
             assert rnf(BandWord(4, rewritten)) == normal
 
 
