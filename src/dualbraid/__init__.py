@@ -9,7 +9,7 @@ independent ordering oracle based on handle reduction.
 from .garside import GreedyNF, equal, gnf, right_divides, right_quotient, tail
 from .ncp import NonCrossingPartition, letter_simple
 from .oracle import OracleError, SigmaClass, cmp_dehornoy, free_reduce, handle_reduce, sigma_class
-from .ordering import OrderResult, cmp_rotating, is_initial_segment_member, min_of_breadth, rotating_key, successor
+from .ordering import cmp_rotating, is_initial_segment_member, min_of_breadth, rotating_key, successor
 from .rotating import (
     Splitting,
     breadth,
@@ -25,6 +25,7 @@ from .words import (
     ArtinWord,
     BandLetter,
     BandWord,
+    OrderResult,
     band_to_artin,
     band_word,
     delta_word,

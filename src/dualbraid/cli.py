@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage or parse failure (argparse's own errors
 included), 2 contract violation (including an oracle failure, such as a
-reduction that outgrows its length ceiling, and a size beyond the limits
-below: normalizing costs about n^2 per letter, and enum-verify compares
-every pair of the words it enumerates), 3 verification mismatch.
+reduction that outgrows its length ceiling, a band word longer than
+parser.MAX_BAND_LETTERS, and a size beyond the limits below: normalizing
+costs about n^2 per letter, and enum-verify compares every pair of the
+words it enumerates), 3 verification mismatch.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Classification uses the greatest-index convention: a word is positive
 (negative) when, after reduction, all occurrences of the highest
 generator index are positive (negative).  A handle is a subword
 s_i^e ... s_i^-e whose interior only involves indices below i;
-removing it via the braid relations preserves the group element.
+removing it via the braid relations preserves the group element.  The
+oracle shares no code with the engine it checks: it imports only words.
 
 handle_reduce works on a list of ints, s_i^e stored as 2*i + (e < 0), so
 x ^ 1 is the inverse of x; after each handle it keeps the prefix, cancels
@@ -17,8 +18,7 @@ import enum
 from itertools import chain
 from typing import NamedTuple
 
-from .ordering import OrderResult
-from .words import ArtinWord, BandWord, _tables
+from .words import ArtinWord, BandWord, OrderResult, _tables
 
 
 class SigmaKind(enum.Enum):

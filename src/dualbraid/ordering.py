@@ -9,23 +9,8 @@ encodes splitting trees in this order; cmp_rotating compares keys.
 
 from __future__ import annotations
 
-import enum
-
 from . import rotating
-from .words import BandWord, band_word
-
-
-class OrderResult(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-    @staticmethod
-    def of(diff: int) -> "OrderResult":
-        return OrderResult(0 if diff == 0 else (1 if diff > 0 else -1))
-
-    def flipped(self) -> "OrderResult":
-        return OrderResult(-self.value)
+from .words import BandWord, OrderResult, band_word
 
 
 def cmp_rotating(u: BandWord, v: BandWord) -> OrderResult:

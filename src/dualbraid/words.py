@@ -4,22 +4,34 @@ A band word is a finite product of band generators a(p,q) with
 1 <= p < q <= n; it represents a positive element of the dual braid
 monoid on n strands.  An Artin word is a signed word in the classical
 generators s1, ..., s(n-1) and may represent any element of the braid
-group.  Both carriers are immutable; every operation returns a fresh
-value.
-
-Letters are interned per strand count, in tables filled on first use: a
-word's letters are looked up in its table in one pass, which checks and
-interns them.  The table also holds each band letter's Artin expansion
-and that expansion's inverse.
+group.  Both are immutable and share one implementation, which checks
+and interns a word's letters in one pass over a per-strand-count table
+filled on first use; the table also holds each band letter's Artin
+expansion and that expansion's inverse.  OrderResult, the verdict of
+both comparators, lives here so that the oracle needs no other module.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 MAX_STRANDS = 32  # strand counts beyond this are refused: tables and normal forms grow as n^2
+
+
+class OrderResult(enum.Enum):
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+
+    @staticmethod
+    def of(diff: int) -> "OrderResult":
+        return OrderResult(0 if diff == 0 else (1 if diff > 0 else -1))
+
+    def flipped(self) -> "OrderResult":
+        return OrderResult(-self.value)
 
 
 class BandLetter(NamedTuple):
@@ -30,42 +42,6 @@ class BandLetter(NamedTuple):
 
     def __str__(self) -> str:
         return f"a({self.p},{self.q})"
-
-
-@dataclass(frozen=True)
-class BandWord:
-    """A positive word in the band generators on ``n`` strands.
-
-    The empty word represents the trivial braid.
-    """
-
-    n: int
-    letters: tuple[BandLetter, ...] = ()
-
-    def __post_init__(self) -> None:
-        band = _tables(self.n)[0]
-        try:
-            letters = tuple(map(band.__getitem__, self.letters))
-        except (KeyError, TypeError):  # a bad letter, or (p, q) given as a list
-            for p, q in self.letters:
-                if (p, q) not in band:
-                    raise ValueError(f"letter a({p},{q}) is invalid on {self.n} strands") from None
-            letters = tuple(band[p, q] for p, q in self.letters)
-        object.__setattr__(self, "letters", letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def is_trivial_word(self) -> bool:
-        return not self.letters
-
-    def __mul__(self, other: "BandWord") -> "BandWord":
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-        return BandWord(self.n, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters) if self.letters else "1"
 
 
 class ArtinLetter(NamedTuple):
@@ -79,37 +55,63 @@ class ArtinLetter(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ArtinWord:
-    """A signed word in the Artin generators on ``n`` strands."""
+class _Word:
+    """A word on ``n`` strands of letters interned from ``_tables(n)[_TABLE]``,
+    given as any iterable of letters or plain pairs; ``_invalid`` words the
+    error for a letter not in that table.  The empty word is the trivial braid."""
 
     n: int
-    letters: tuple[ArtinLetter, ...] = ()
+    letters: tuple = ()
 
     def __post_init__(self) -> None:
-        artin = _tables(self.n)[5]
+        table = _tables(self.n)[self._TABLE]
+        letters = tuple(self.letters)
         try:
-            letters = tuple(map(artin.__getitem__, self.letters))
-        except (KeyError, TypeError):  # a bad letter, or (i, sign) given as a list
-            for i, sign in self.letters:
-                if not (1 <= i <= self.n - 1):
-                    raise ValueError(f"index {i} out of range on {self.n} strands") from None
-                if sign not in (1, -1):
-                    raise ValueError(f"invalid sign {sign}") from None
-                if (i, sign) not in artin:
-                    raise ValueError("an Artin letter must be a pair of ints (index, sign)") from None
-            letters = tuple(artin[i, sign] for i, sign in self.letters)
-        object.__setattr__(self, "letters", letters)
+            interned = tuple(map(table.__getitem__, letters))
+        except (KeyError, TypeError):  # a bad letter, or a letter given as a list
+            for a, b in letters:
+                if (a, b) not in table:
+                    raise ValueError(self._invalid(a, b)) from None
+            interned = tuple(table[a, b] for a, b in letters)
+        object.__setattr__(self, "letters", interned)
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "ArtinWord") -> "ArtinWord":
+    def __mul__(self, other: _Word) -> _Word:
         if self.n != other.n:
             raise ValueError("strand count mismatch")
-        return ArtinWord(self.n, self.letters + other.letters)
+        return type(self)(self.n, self.letters + other.letters)
 
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters) if self.letters else "1"
+
+
+class BandWord(_Word):
+    """A positive word in the band generators on ``n`` strands."""
+
+    _TABLE = 0  # letters by (p, q)
+    # Its own entry, through which benchmarks/layertrace.py counts the band words built.
+    __post_init__ = _Word.__post_init__
+
+    def is_trivial_word(self) -> bool:
+        return not self.letters
+
+    def _invalid(self, p, q) -> str:
+        return f"letter a({p},{q}) is invalid on {self.n} strands"
+
+
+class ArtinWord(_Word):
+    """A signed word in the Artin generators on ``n`` strands."""
+
+    _TABLE = 5  # letters by (i, sign)
+
+    def _invalid(self, i, sign) -> str:
+        if not 1 <= i <= self.n - 1:
+            return f"index {i} out of range on {self.n} strands"
+        if sign not in (1, -1):
+            return f"invalid sign {sign}"
+        return "an Artin letter must be a pair of ints (index, sign)"
 
 
 # Letters on each strand count n, filled on first use; at most one entry
@@ -140,14 +142,8 @@ def _tables(n: int) -> tuple[dict, dict, list, dict, dict, dict]:
     return table
 
 
-def band_word(n: int, pairs: Iterable[tuple[int, int]]) -> BandWord:
-    """Convenience constructor from (p, q) pairs."""
-    return BandWord(n, tuple(pairs))
-
-
-def artin_word(n: int, letters: Iterable[tuple[int, int]]) -> ArtinWord:
-    """Convenience constructor from (index, sign) pairs."""
-    return ArtinWord(n, tuple(letters))
+band_word = BandWord  # from any iterable of (p, q) pairs
+artin_word = ArtinWord  # from any iterable of (i, sign) pairs
 
 
 def phi_letter(n: int, k: int, letter: BandLetter) -> BandLetter:
@@ -178,8 +174,7 @@ def delta_word(p: int, q: int, n: int) -> BandWord:
     """
     if not (1 <= p <= q <= n):
         raise ValueError(f"invalid interval [{p},{q}] on {n} strands")
-    band = _tables(n)[0]
-    return BandWord(n, tuple(band[r, r + 1] for r in range(p, q)))
+    return BandWord(n, zip(range(p, q), range(p + 1, q + 1)))
 
 
 def garside_word(n: int) -> BandWord:
