@@ -34,16 +34,17 @@ def _append(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
     # Domino rule: walking right to left, slide the movable part of each
     # factor into its right neighbour; once a slide (or what is left to
     # carry) is trivial, the factors to its left are already normal.
+    one = ncp.trivial_simple(len(simple))
     out = [*factors, simple]
     i = len(factors)
-    while i and not ncp.is_trivial(out[i]):
+    while i and out[i] != one:
         slide = ncp.meet(out[i - 1], ncp.left_complement(out[i]))
-        if ncp.is_trivial(slide):
+        if slide == one:
             break
         out[i - 1] = ncp.right_quotient(out[i - 1], slide)
         out[i] = ncp.simple_product(slide, out[i])
         i -= 1
-    return tuple(out[:i] + out[i + 1:]) if ncp.is_trivial(out[i]) else tuple(out)
+    return tuple(out[:i] + out[i + 1:]) if out[i] == one else tuple(out)
 
 
 def _divide_last(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
@@ -92,8 +93,9 @@ def right_quotient(w: BandWord, g: BandWord) -> BandWord:
 
 def _split_tail(n: int, factors: tuple[Perm, ...], m: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
     delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
+    one = ncp.trivial_simple(n)
     collected = []
-    while factors and not ncp.is_trivial(s := ncp.meet(factors[-1], delta_m)):
+    while factors and (s := ncp.meet(factors[-1], delta_m)) != one:
         factors = _divide_last(factors, s)
         collected.append(s)
     return tuple(reversed(collected)), factors

@@ -9,6 +9,7 @@ a(1,2)), splittings form the tree that rnf and rotating_key read.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from . import garside, ncp
@@ -45,13 +46,18 @@ class Splitting(NamedTuple):
         return tuple(form.word() for form in self.forms)
 
 
+@lru_cache(maxsize=ncp.CACHE_SIZE)
+def _restrict(simple: ncp.Perm) -> ncp.Perm:
+    # Tail factors fix n, so dropping the last point leaves the simple on
+    # n-1 strands; one shared tuple per simple keeps memo entries small.
+    return simple[:-1]
+
+
 def _split(n: int, factors: tuple[ncp.Perm, ...]) -> tuple[tuple[ncp.Perm, ...], ...]:
     entries = []
     while True:
         part, factors = garside._split_tail(n, factors, n - 1)
-        # Tail factors fix n, so dropping the last point leaves the
-        # entry's normal form on n-1 strands.
-        entries.append(tuple(f[:-1] for f in part))
+        entries.append(tuple(map(_restrict, part)))
         if not factors:
             return tuple(reversed(entries))
         # phi^-1 is an automorphism, so it maps a normal form to a normal form.
@@ -106,17 +112,20 @@ def separator(n: int, r: int) -> BandWord:
 SplittingTree = Union[int, tuple]  # nested tuples with int leaves
 
 
+@lru_cache(maxsize=ncp.CACHE_SIZE)
+def _subtree(n: int, factors: tuple[ncp.Perm, ...]) -> SplittingTree:
+    # Memoized below the top level only: distinct words share most of
+    # their lower entries, but a word's own top level rarely repeats.
+    if n == 2:
+        return len(factors)
+    return tuple(_subtree(n - 1, e) for e in _split(n, factors))
+
+
 def splitting_tree(w: BandWord) -> SplittingTree:
     """Fully iterated splitting: a depth n-2 tree with natural-number leaves."""
-
-    def subtree(n: int, factors: tuple[ncp.Perm, ...]) -> SplittingTree:
-        if n == 2:
-            return len(factors)
-        return tuple(subtree(n - 1, e) for e in _split(n, factors))
-
     if w.n == 2:
-        return subtree(2, garside.gnf(w).factors)
-    return tuple(subtree(w.n - 1, f.factors) for f in splitting(w).forms)
+        return len(garside.gnf(w).factors)
+    return tuple(_subtree(w.n - 1, f.factors) for f in splitting(w).forms)
 
 
 def is_ladder(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbraid import cli, enumeration, oracle, ordering
+from dualbraid import cli, enumeration, oracle, ordering, rotating
 from dualbraid.parser import (
     ParseError,
     parse_artin_word,
@@ -157,6 +157,33 @@ def test_cli_enum_verify_keys_each_element_once(capsys, monkeypatch):
         "ordering agreement: 325/325 pairs",
         "total: 350/350 checks passed",
     ]
+
+
+def test_cli_enum_verify_splits_each_element_at_most_twice(capsys, monkeypatch):
+    # Once for its key and once inside rnf: the splitting-head check reads the key.
+    split = []
+
+    def counted(w, original=rotating.splitting):
+        split.append(w)
+        return original(w)
+
+    monkeypatch.setattr(rotating, "splitting", counted)
+    assert cli.main(["enum-verify", "-n", "4", "--max-length", "2"]) == 0
+    elements = enumeration.enumerate_elements(4, 2)
+    assert len(split) <= 2 * len(elements)
+    assert capsys.readouterr().out.splitlines()[-1] == "total: 560/560 checks passed"
+
+
+def test_cli_enum_verify_flags_a_trivial_splitting_head(capsys, monkeypatch):
+    # At n=3 a head is a power of a(1,2); prepend an empty one to every tree.
+    def padded(w, original=rotating.splitting_tree):
+        tree = original(w)
+        return tree if w.is_trivial_word() else (0, *tree)
+
+    monkeypatch.setattr(rotating, "splitting_tree", padded)
+    assert cli.main(["enum-verify", "-n", "3", "--max-length", "1"]) == 3
+    flagged = [line for line in capsys.readouterr().out.splitlines() if line.startswith("SPLITTING HEAD")]
+    assert len(flagged) == 3
 
 
 def test_cli_parse_error_exit_code(capsys):

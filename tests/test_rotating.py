@@ -1,12 +1,14 @@
 """Splittings, the rotating normal form, separators, trees and ladders."""
 
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
 
 from brute_force import rewrites
-from dualbraid import enumeration, garside, oracle
+from dualbraid import enumeration, garside, ncp, oracle, ordering, rotating
 from dualbraid.oracle import SigmaKind
 from dualbraid.rotating import (
     breadth,
@@ -188,6 +190,37 @@ def test_splitting_tree_examples():
 def test_splitting_tree_depth(n):
     assert tree_depth(splitting_tree(band_word(n, [(1, n)]))) == n - 2
     assert tree_depth(splitting_tree(BandWord(n))) == n - 2
+
+
+def memo_free_key(n, factors):
+    """rotating_key recomputed through rotating._split, with no memo."""
+    if n == 2:
+        return len(factors)
+    entries = rotating._split(n, factors)
+    return (len(entries), *(memo_free_key(n - 1, e) for e in entries))
+
+
+def test_subtree_memo_matches_a_memo_free_recursion():
+    # Trivial entries are the empty tuple at every strand count, so a memo
+    # key without n would hand a 3-strand subtree to a 4-strand entry.
+    rng = random.Random(33)
+    corpus = [
+        band_word(n, [rng.choice(enumeration.generators(n)) for _ in range(rng.randint(0, 12))])
+        for n in (3, 4, 5, 6)
+        for _ in range(40)
+    ]
+    expected = [memo_free_key(w.n, garside.gnf(w).factors) for w in corpus]
+    rotating._subtree.cache_clear()
+    assert [ordering.rotating_key(w) for w in corpus] == expected
+    assert rotating._subtree.cache_info().hits > 0
+    assert [ordering.rotating_key(w) for w in reversed(corpus)] == expected[::-1]
+
+
+def test_subtree_memo_is_bounded_and_empty_at_import():
+    assert rotating._subtree.cache_info().maxsize == ncp.CACHE_SIZE
+    code = "import dualbraid, dualbraid.rotating as r; print(r._subtree.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_last_letter_property_on_enumerated_splittings():
