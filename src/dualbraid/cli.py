@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "word"
     )
     verify = add("enum-verify", _cmd_enum_verify, "exhaustively cross-check both orderings")
-    verify.add_argument("--max-length", type=int, default=3, help="longest word enumerated")
+    pairs = "the oracle runs on every pair of elements (1777555 pairs of 1886 at -n 4 --max-length 5)"
+    verify.add_argument("--max-length", type=int, default=3, help=f"longest word enumerated; {pairs}")
     return top
 
 

@@ -102,7 +102,7 @@ def _split_tail(n: int, factors: tuple[Perm, ...], m: int) -> tuple[tuple[Perm, 
 
 
 def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
-    """Split nf as remainder * tail, the tail maximal in the m-strand submonoid.
+    """Return (tail, remainder), nf = remainder * tail, the tail maximal in the m-strand submonoid.
 
     A generator a(p,q) with q <= m right-divides the element iff it
     refines s, the meet of the last factor with the partition whose one

@@ -101,9 +101,9 @@ def ncp_to_perm(part: NonCrossingPartition) -> Perm:
     return _descending_cycles(part.n, part.blocks)
 
 
-def perm_to_ncp(n: int, perm: Perm) -> NonCrossingPartition:
-    """Partition from the cycles of a permutation; must be non-crossing."""
-    return NonCrossingPartition.from_blocks(n, _blocks(_cycle_labels(perm)))
+def perm_to_ncp(perm: Perm) -> NonCrossingPartition:
+    """Partition of {1..n}, n = len(perm), from the cycles of perm; must be non-crossing."""
+    return NonCrossingPartition.from_blocks(len(perm), _blocks(_cycle_labels(perm)))
 
 
 def compose(first: Perm, then: Perm) -> Perm:
@@ -132,10 +132,6 @@ def trivial_simple(n: int) -> Perm:
 def full_simple(n: int) -> Perm:
     """The one-block simple, the Garside element: the cycle x -> x-1, 1 -> n."""
     return (n, *range(1, n))
-
-
-def is_trivial(simple: Perm) -> bool:
-    return simple == trivial_simple(len(simple))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -42,10 +42,9 @@ def successor(w: BandWord) -> BandWord:
     return w * band_word(w.n, [(1, 2)])
 
 
-def is_initial_segment_member(w: BandWord, n: int) -> bool:
-    """True iff w lies below a(n-1,n), i.e. in the (n-1)-strand submonoid."""
-    if w.n != n:
-        raise ValueError("strand count mismatch")
+def is_initial_segment_member(w: BandWord) -> bool:
+    """True iff w lies below a(n-1,n), n = w.n, i.e. in the (n-1)-strand submonoid."""
+    n = w.n
     if n < 3:
         raise ValueError("need n >= 3")
     boundary = band_word(n, [(n - 1, n)])

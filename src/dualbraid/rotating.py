@@ -38,10 +38,6 @@ class Splitting(NamedTuple):
         return len(self.forms)
 
     @property
-    def trivial(self) -> bool:
-        return self.breadth == 1 and not self.forms[0].factors
-
-    @property
     def entries(self) -> tuple[BandWord, ...]:
         return tuple(form.word() for form in self.forms)
 
@@ -128,10 +124,8 @@ def splitting_tree(w: BandWord) -> SplittingTree:
     return tuple(_subtree(w.n - 1, f.factors) for f in splitting(w).forms)
 
 
-def is_ladder(
-    w: BandWord, i: int, n: int, with_witness: bool = False
-):
-    """Test whether the normal word w is an a(i,n)-ladder.
+def is_ladder(w: BandWord, i: int, *, with_witness: bool = False):
+    """Test whether the normal word w is an a(i,n)-ladder, n = w.n.
 
     The word must decompose as w0 x1 w1 ... xh wh together with indices
     i = f0 < f1 < ... < fh = n-1 such that each bar xk = a(e,fk) has
@@ -145,8 +139,7 @@ def is_ladder(
     Returns a bool, or (bool, witness) when with_witness is set; the
     witness is that decomposition's list of (position, rung_top) pairs.
     """
-    if w.n != n:
-        raise ValueError("strand count mismatch")
+    n = w.n
     if not (1 <= i <= n - 1):
         raise ValueError("lent index out of range")
     letters = w.letters

@@ -30,9 +30,6 @@ class OrderResult(enum.Enum):
     def of(diff: int) -> "OrderResult":
         return OrderResult(0 if diff == 0 else (1 if diff > 0 else -1))
 
-    def flipped(self) -> "OrderResult":
-        return OrderResult(-self.value)
-
 
 class BandLetter(NamedTuple):
     """The band generator a(p,q), crossing strands p and q in front."""
@@ -160,11 +157,9 @@ def phi_letter(n: int, k: int, letter: BandLetter) -> BandLetter:
     return BandLetter(p, q)
 
 
-def phi(n: int, k: int, w: BandWord) -> BandWord:
-    """Letterwise image of a band word under the rotation automorphism."""
-    if w.n != n:
-        raise ValueError("strand count mismatch")
-    return BandWord(n, tuple(phi_letter(n, k, l) for l in w.letters))
+def phi(k: int, w: BandWord) -> BandWord:
+    """Letterwise image of w under the k-th power of the rotation phi_n, n = w.n."""
+    return BandWord(w.n, tuple(phi_letter(w.n, k, l) for l in w.letters))
 
 
 def delta_word(p: int, q: int, n: int) -> BandWord:
@@ -175,11 +170,6 @@ def delta_word(p: int, q: int, n: int) -> BandWord:
     if not (1 <= p <= q <= n):
         raise ValueError(f"invalid interval [{p},{q}] on {n} strands")
     return BandWord(n, zip(range(p, q), range(p + 1, q + 1)))
-
-
-def garside_word(n: int) -> BandWord:
-    """The Garside element as a word."""
-    return delta_word(1, n, n)
 
 
 def band_to_artin(w: BandWord) -> ArtinWord:

@@ -147,7 +147,7 @@ def test_criterion_5_successor_and_initial_segment(corpus3):
         in_segment = all(l.q <= 2 for l in rnf(w).letters)
         if (cmp_rotating(w, gate) is OrderResult.LESS) != in_segment:
             failures += 1
-        if is_initial_segment_member(w, 3) != in_segment:
+        if is_initial_segment_member(w) != in_segment:
             failures += 1
     report(5, failures == 0, f"successor gaps and initial segment on {len(corpus3)} elements")
 
@@ -170,8 +170,8 @@ def test_criterion_6_last_letters_and_ladders(corpus4):
             checks.append(2)
         for k in checks:
             entry, above = split.entries[b - k], split.entries[b - k - 1]
-            rung = phi(4, 1, widen(band_word(3, [last_letter(above)]), 4))
-            if not is_ladder(widen(rnf(entry), 4), rung.letters[0].p, 4):
+            rung = phi(1, widen(band_word(3, [last_letter(above)]), 4))
+            if not is_ladder(widen(rnf(entry), 4), rung.letters[0].p):
                 failures += 1
     report(6, failures == 0, f"last-letter and ladder checks on {len(corpus4)} elements")
 

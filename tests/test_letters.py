@@ -184,7 +184,7 @@ def test_equal_letters_are_one_object():
         band_word(n, [(1, 3), (2, 5), (1, 2)]),
         parse_band_word("a(1,3) d(1,5)", n),
         parse_band_word("s2 s4", n),
-        phi(n, 2, band_word(n, [(1, 4), (3, 5), (4, 5)])),
+        phi(2, band_word(n, [(1, 4), (3, 5), (4, 5)])),
         rotating.rnf(band_word(n, [(2, 4), (1, 5), (3, 4), (1, 3)])),
         garside.gnf(band_word(n, [(1, 5), (2, 3), (2, 4)])).word(),
         delta_word(1, n, n),

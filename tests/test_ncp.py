@@ -8,7 +8,6 @@ from dualbraid import garside, ncp
 from dualbraid.ncp import (
     NonCrossingPartition,
     full_simple,
-    is_trivial,
     left_complement,
     left_quotient,
     length,
@@ -24,7 +23,7 @@ from dualbraid.ncp import (
     simple_product,
     trivial_simple,
 )
-from dualbraid.words import BandLetter, band_word, garside_word, phi
+from dualbraid.words import BandLetter, band_word, delta_word, phi
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 
@@ -54,9 +53,9 @@ def all_simples(n):
 
 
 def test_letter_ncp_examples():
-    assert perm_to_ncp(4, letter_simple(BandLetter(1, 3), 4)).blocks == ((1, 3), (2,), (4,))
-    assert perm_to_ncp(2, letter_simple(BandLetter(1, 2), 2)).blocks == ((1, 2),)
-    assert perm_to_ncp(3, letter_simple(BandLetter(2, 3), 3)).blocks == ((1,), (2, 3))
+    assert perm_to_ncp(letter_simple(BandLetter(1, 3), 4)).blocks == ((1, 3), (2,), (4,))
+    assert perm_to_ncp(letter_simple(BandLetter(1, 2), 2)).blocks == ((1, 2),)
+    assert perm_to_ncp(letter_simple(BandLetter(2, 3), 3)).blocks == ((1,), (2, 3))
 
 
 @pytest.mark.parametrize("letter, n", [(BandLetter(2, 5), 4), (BandLetter(3, 2), 4), (BandLetter(0, 1), 3), ((5, 2), 4)])
@@ -72,7 +71,7 @@ def test_crossing_blocks_rejected():
 
 def test_perm_round_trip():
     for part in all_ncps(5):
-        assert perm_to_ncp(5, ncp_to_perm(part)) == part
+        assert perm_to_ncp(ncp_to_perm(part)) == part
 
 
 def test_catalan_counts():
@@ -88,7 +87,7 @@ def test_simple_test_accepts_exactly_the_noncrossing_partitions(n):
     accepted = 0
     for perm in permutations(range(1, n + 1)):
         try:
-            reference = ncp_to_perm(perm_to_ncp(n, perm)) == perm
+            reference = ncp_to_perm(perm_to_ncp(perm)) == perm
         except ValueError:
             reference = False
         assert ncp._is_simple(perm) == reference, perm
@@ -104,7 +103,7 @@ def _reference_product(a, b):
     """a * b on partitions, or None when the product is not simple."""
     perm = ncp.compose(ncp_to_perm(a), ncp_to_perm(b))
     try:
-        result = perm_to_ncp(a.n, perm)
+        result = perm_to_ncp(perm)
     except ValueError:
         return None
     if len(result.blocks) != len(a.blocks) + len(b.blocks) - a.n or ncp_to_perm(result) != perm:
@@ -129,19 +128,19 @@ def test_kernel_ops_match_partition_definitions(n):
     by_left = {(a, c): b for (a, b), c in products.items() if c is not None}
     for a in parts:
         pa = ncp_to_perm(a)
-        assert is_trivial(pa) == (a == trivial)
+        assert (pa == trivial_simple(len(pa))) == (a == trivial)
         assert length(pa) == n - len(a.blocks)
-        assert perm_to_ncp(n, right_complement(pa)) == next(c for c in parts if products[a, c] == delta)
-        assert perm_to_ncp(n, left_complement(pa)) == next(c for c in parts if products[c, a] == delta)
+        assert perm_to_ncp(right_complement(pa)) == next(c for c in parts if products[a, c] == delta)
+        assert perm_to_ncp(left_complement(pa)) == next(c for c in parts if products[c, a] == delta)
         for k in range(-1, n + 1):
             shifted = [[(x - 1 + k) % n + 1 for x in block] for block in a.blocks]
-            assert perm_to_ncp(n, rotate(pa, k)) == NonCrossingPartition.from_blocks(n, shifted)
+            assert perm_to_ncp(rotate(pa, k)) == NonCrossingPartition.from_blocks(n, shifted)
         for b in parts:
             pb = ncp_to_perm(b)
             blocks = {}
             for x in range(1, n + 1):
                 blocks.setdefault((_block_of(a, x), _block_of(b, x)), []).append(x)
-            assert perm_to_ncp(n, meet(pa, pb)) == NonCrossingPartition.from_blocks(n, blocks.values())
+            assert perm_to_ncp(meet(pa, pb)) == NonCrossingPartition.from_blocks(n, blocks.values())
             assert refines(pa, pb) == all(set(block) <= set(_block_of(b, block[0])) for block in a.blocks)
             for op, expected, args in (
                 (simple_product, products[a, b], (pa, pb)),
@@ -152,7 +151,7 @@ def test_kernel_ops_match_partition_definitions(n):
                     with pytest.raises(ValueError):
                         op(*args)
                 else:
-                    assert perm_to_ncp(n, op(*args)) == expected
+                    assert perm_to_ncp(op(*args)) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -210,18 +209,18 @@ def test_right_quotient_inverts_product():
 def test_rotate_is_phi_on_simples(n):
     for simple in all_simples(n):
         for k in range(n + 1):
-            assert garside.equal(ncp_word(rotate(simple, k)), phi(n, k, ncp_word(simple)))
+            assert garside.equal(ncp_word(rotate(simple, k)), phi(k, ncp_word(simple)))
 
 
 def test_ncp_word_of_garside():
-    assert ncp_word(full_simple(4)) == garside_word(4)
+    assert ncp_word(full_simple(4)) == delta_word(1, 4, 4)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ncp_word_represents_the_simple(n):
     # gnf of the word of a nontrivial simple is that single simple.
     for simple in all_simples(n):
-        if is_trivial(simple):
+        if simple == trivial_simple(len(simple)):
             continue
         assert garside.gnf(ncp_word(simple)).factors == (simple,)
 
@@ -229,7 +228,7 @@ def test_ncp_word_represents_the_simple(n):
 def test_ncp_word_reads_the_partition_blocks():
     for n in range(2, 8):
         for simple in all_simples(n):
-            blocks = perm_to_ncp(n, simple).blocks
+            blocks = perm_to_ncp(simple).blocks
             pairs = [pair for block in blocks for pair in zip(block, block[1:])]
             assert ncp_word(simple) == band_word(n, pairs)
 

@@ -48,13 +48,13 @@ def test_total_order_axioms_on_small_corpus():
     for u, v in combinations(corpus, 2):
         verdict = cmp_rotating(u, v)
         assert verdict in (OrderResult.LESS, OrderResult.GREATER)
-        assert cmp_rotating(v, u) is verdict.flipped()
+        assert cmp_rotating(v, u) is OrderResult(-verdict.value)
         verdicts[(u.letters, v.letters)] = verdict
     # Transitivity through the induced ranking.
     ranked = sorted(corpus, key=rotating_key)
     for u, v in combinations(ranked, 2):
         key = (u.letters, v.letters)
-        expected = verdicts[key] if key in verdicts else verdicts[(v.letters, u.letters)].flipped()
+        expected = verdicts[key] if key in verdicts else OrderResult(-verdicts[(v.letters, u.letters)].value)
         assert expected is OrderResult.LESS
 
 
@@ -103,14 +103,21 @@ def test_trivial_braid_is_the_minimum():
 
 
 def test_initial_segment_examples():
-    assert is_initial_segment_member(band_word(4, [(1, 3)]), 4)
-    assert not is_initial_segment_member(band_word(4, [(3, 4)]), 4)
-    assert is_initial_segment_member(BandWord(4), 4)
+    assert is_initial_segment_member(band_word(4, [(1, 3)]))
+    assert not is_initial_segment_member(band_word(4, [(3, 4)]))
+    assert is_initial_segment_member(BandWord(4))
+
+
+def test_initial_segment_reads_the_strand_count_off_the_word():
+    with pytest.raises(TypeError):
+        is_initial_segment_member(band_word(4, [(1, 3)]), 4)
+    with pytest.raises(ValueError, match="n >= 3"):
+        is_initial_segment_member(band_word(2, [(1, 2)]))
 
 
 def test_initial_segment_matches_letter_criterion():
     for w in enumeration.enumerate_elements(4, 3):
-        by_cmp = is_initial_segment_member(w, 4)
+        by_cmp = is_initial_segment_member(w)
         by_letters = all(l.q <= 3 for l in rnf(w).letters)
         assert by_cmp == by_letters
 

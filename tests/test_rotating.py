@@ -46,7 +46,7 @@ def reconstruct(n, entries):
     out = BandWord(n)
     b = len(entries)
     for k, entry in enumerate(entries):
-        out = out * phi(n, b - 1 - k, widen(entry, n))
+        out = out * phi(b - 1 - k, widen(entry, n))
     return out
 
 
@@ -74,7 +74,7 @@ def test_splitting_of_delta3():
 
 def test_splitting_of_trivial_is_flagged():
     split = splitting(BandWord(3))
-    assert split.trivial and split.entries == (BandWord(2),)
+    assert split.entries == (BandWord(2),)
 
 
 def test_splitting_forms_are_the_entries_normal_forms():
@@ -107,7 +107,7 @@ def test_splitting_conditions_on_enumerated_elements():
         assert not entries[0].is_trivial_word() or split.breadth == 1
         assert garside.equal(reconstruct(4, entries), w)
         for k in range(1, split.breadth):
-            head = phi(4, 1, reconstruct(4, entries[: split.breadth - k]))
+            head = phi(1, reconstruct(4, entries[: split.breadth - k]))
             assert garside.tail(head, 3).is_trivial_word()
 
 
@@ -129,7 +129,7 @@ def test_splitting_uniqueness_brute_force_three_strands():
                     continue
                 ok = True
                 for k in range(1, b):
-                    head = phi(3, 1, reconstruct(3, entries[: b - k]))
+                    head = phi(1, reconstruct(3, entries[: b - k]))
                     if not garside.tail(head, 2).is_trivial_word():
                         ok = False
                         break
@@ -238,22 +238,26 @@ def test_last_letter_property_on_enumerated_splittings():
 
 
 def test_is_ladder_convention_and_counterexample():
-    assert is_ladder(band_word(5, [(1, 4)]), 4, 5)
-    assert not is_ladder(band_word(5, [(1, 2)]), 2, 5)
-
-
-def test_is_ladder_rejects_strand_count_mismatch():
-    with pytest.raises(ValueError, match="strand count mismatch"):
-        is_ladder(band_word(4, [(1, 4)]), 4, 5)
+    assert is_ladder(band_word(5, [(1, 4)]), 4)
+    assert not is_ladder(band_word(5, [(1, 2)]), 2)
 
 
 def test_is_ladder_witness_positions():
     # a(1,2) a(1,3) a(2,4): bars a(1,3) then a(2,4) climb from 2 to 4.
     w = band_word(5, [(1, 2), (1, 3), (2, 4)])
-    ok, witness = is_ladder(w, 2, 5, with_witness=True)
+    ok, witness = is_ladder(w, 2, with_witness=True)
     assert ok and witness == [(1, 3), (2, 4)]
     # a(3,4) cannot serve as the top bar from level 3: its foot is not below 3.
-    assert not is_ladder(band_word(5, [(1, 2), (1, 3), (3, 4)]), 2, 5)
+    assert not is_ladder(band_word(5, [(1, 2), (1, 3), (3, 4)]), 2)
+
+
+def test_is_ladder_reads_the_strand_count_off_the_word():
+    w = band_word(5, [(1, 4)])
+    # The old form is_ladder(w, i, n) must not bind n to with_witness.
+    with pytest.raises(TypeError):
+        is_ladder(w, 4, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        is_ladder(w, 5)
 
 
 def ladder_decompositions(w, i, n):
@@ -300,7 +304,7 @@ def test_is_ladder_matches_its_definition():
             found = ladder_decompositions(w, i, w.n)
             assert len(found) <= 1
             expected = (True, found[0]) if found else (False, None)
-            assert is_ladder(w, i, w.n, with_witness=True) == expected, (w, i)
+            assert is_ladder(w, i, with_witness=True) == expected, (w, i)
             positives += bool(found)
     assert positives > 1000
 
@@ -318,9 +322,9 @@ def test_splitting_entries_are_ladders():
             checks.append(2)
         for k in checks:
             entry, above = split.entries[b - k], split.entries[b - k - 1]
-            rung = phi(4, 1, widen(band_word(3, [last_letter(above)]), 4))
+            rung = phi(1, widen(band_word(3, [last_letter(above)]), 4))
             assert rung.letters[0].q == 4
-            assert is_ladder(widen(rnf(entry), 4), rung.letters[0].p, 4), (
+            assert is_ladder(widen(rnf(entry), 4), rung.letters[0].p), (
                 f"{w}: entry {k} is not the expected ladder"
             )
 

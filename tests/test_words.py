@@ -8,7 +8,6 @@ from dualbraid.words import (
     band_to_artin,
     band_word,
     delta_word,
-    garside_word,
     invert,
     phi,
     widen,
@@ -39,24 +38,29 @@ def test_band_to_artin_empty():
 
 
 def test_phi_shifts_interior_letter():
-    assert phi(3, 1, band_word(3, [(1, 2)])) == band_word(3, [(2, 3)])
+    assert phi(1, band_word(3, [(1, 2)])) == band_word(3, [(2, 3)])
 
 
 def test_phi_wraps_top_strand():
-    assert phi(6, 2, band_word(6, [(4, 5)])) == band_word(6, [(1, 6)])
+    assert phi(2, band_word(6, [(4, 5)])) == band_word(6, [(1, 6)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_phi_has_order_n(n):
     w = band_word(n, [(1, 2), (1, n), (n - 1, n), (2, n - 1) if n > 3 else (2, 3)])
-    assert phi(n, n, w) == w
-    assert phi(n, -1, phi(n, 1, w)) == w
+    assert phi(n, w) == w
+    assert phi(-1, phi(1, w)) == w
+
+
+def test_phi_reads_the_strand_count_off_the_word():
+    with pytest.raises(TypeError):
+        phi(3, 1, band_word(3, [(1, 2)]))
 
 
 def test_delta_word_examples():
     assert delta_word(1, 3, 3) == band_word(3, [(1, 2), (2, 3)])
     assert delta_word(2, 2, 4) == BandWord(4)
-    assert delta_word(1, 5, 5) == garside_word(5)
+    assert delta_word(1, 5, 5) == band_word(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     with pytest.raises(ValueError):
         delta_word(3, 2, 4)
 
