@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "word", help=cost
     )
     add("compare", _cmd_compare, "compare two band words in both orderings").add_argument(
-        "words", nargs=2
+        "words", nargs=2, help=f"{cost}; the oracle's work grows 6-8x per doubling of the length: "
+        "at n=6, 7 s at 800 letters each and 20 s at 1200; from 1600 it gives up at "
+        f"{oracle.MAX_STEPS} handle removals (exit 2), after 28 s at 1600 and 186 s at 10000"
     )
     add("split", _cmd_split, "print the rotation splitting of a band word").add_argument(
         "word", help=cost
@@ -138,7 +140,7 @@ def _cmd_enum_verify(args) -> int:
     keys = [ordering.rotating_key(w) for w in elements]
     for (u, ku), (v, kv) in combinations(zip(elements, keys), 2):
         checked += 1
-        if OrderResult.of((ku > kv) - (ku < kv)) is not oracle.cmp_dehornoy(u, v):
+        if OrderResult((ku > kv) - (ku < kv)) is not oracle.cmp_dehornoy(u, v):
             failed += 1
             print(f"MISMATCH: {u} vs {v}")
     print(f"ordering agreement: {checked - failed}/{checked} pairs")

@@ -30,32 +30,29 @@ class GreedyNF(NamedTuple):
         return BandWord(self.n, tuple(l for f in self.factors for l in ncp.ncp_word(f).letters))
 
 
-def _append(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
+def _append(factors: list[Perm], simple: Perm) -> list[Perm]:
     # Domino rule: walking right to left, slide the movable part of each
     # factor into its right neighbour; once a slide (or what is left to
     # carry) is trivial, the factors to its left are already normal.
+    # Updates factors in place and returns it.
     one = ncp.trivial_simple(len(simple))
-    out = [*factors, simple]
-    i = len(factors)
-    while i and out[i] != one:
-        slide = ncp.meet(out[i - 1], ncp.left_complement(out[i]))
+    factors.append(simple)
+    i = len(factors) - 1
+    while i and factors[i] != one:
+        slide = ncp.meet(factors[i - 1], ncp.left_complement(factors[i]))
         if slide == one:
             break
-        out[i - 1] = ncp.right_quotient(out[i - 1], slide)
-        out[i] = ncp.simple_product(slide, out[i])
+        factors[i - 1] = ncp.right_quotient(factors[i - 1], slide)
+        factors[i] = ncp.simple_product(slide, factors[i])
         i -= 1
-    return tuple(out[:i] + out[i + 1:]) if out[i] == one else tuple(out)
-
-
-def _divide_last(factors: tuple[Perm, ...], simple: Perm) -> tuple[Perm, ...]:
-    # The last factor is the maximal simple right divisor, so dividing a
-    # simple off it leaves a normal form times one simple.
-    return _append(factors[:-1], ncp.right_quotient(factors[-1], simple))
+    if factors[i] == one:
+        del factors[i]
+    return factors
 
 
 def gnf(w: BandWord) -> GreedyNF:
     """The unique right-greedy normal form of the element represented by w."""
-    return GreedyNF(w.n, reduce(_append, (ncp.letter_simple(l, w.n) for l in w.letters), ()))
+    return GreedyNF(w.n, tuple(reduce(_append, (ncp.letter_simple(l, w.n) for l in w.letters), [])))
 
 
 def equal(u: BandWord, v: BandWord) -> bool:
@@ -68,14 +65,14 @@ def equal(u: BandWord, v: BandWord) -> bool:
 def _right_quotient_or_none(w: BandWord, g: BandWord) -> GreedyNF | None:
     if w.n != g.n:
         raise ValueError("strand count mismatch")
-    factors = gnf(w).factors
+    factors = list(gnf(w).factors)
     for letter in reversed(g.letters):
         simple = ncp.letter_simple(letter, w.n)
         # A generator divides the element iff it divides the last factor.
         if not factors or not ncp.refines(simple, factors[-1]):
             return None
-        factors = _divide_last(factors, simple)
-    return GreedyNF(w.n, factors)
+        _append(factors, ncp.right_quotient(factors.pop(), simple))
+    return GreedyNF(w.n, tuple(factors))
 
 
 def right_divides(g: BandWord, w: BandWord) -> bool:
@@ -91,14 +88,15 @@ def right_quotient(w: BandWord, g: BandWord) -> BandWord:
     return quotient.word()
 
 
-def _split_tail(n: int, factors: tuple[Perm, ...], m: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+def _split_tail(n: int, factors: list[Perm], m: int) -> tuple[Perm, ...]:
+    # Returns the tail; the remainder is left in factors.
     delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
     one = ncp.trivial_simple(n)
     collected = []
     while factors and (s := ncp.meet(factors[-1], delta_m)) != one:
-        factors = _divide_last(factors, s)
+        _append(factors, ncp.right_quotient(factors.pop(), s))
         collected.append(s)
-    return tuple(reversed(collected)), factors
+    return tuple(reversed(collected))
 
 
 def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
@@ -114,7 +112,8 @@ def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
     """
     if not (2 <= m < nf.n):
         raise ValueError("m must satisfy 2 <= m < n")
-    return tuple(GreedyNF(nf.n, factors) for factors in _split_tail(nf.n, nf.factors, m))
+    factors = list(nf.factors)
+    return GreedyNF(nf.n, _split_tail(nf.n, factors, m)), GreedyNF(nf.n, tuple(factors))
 
 
 def tail(w: BandWord, m: int) -> BandWord:

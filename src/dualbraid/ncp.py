@@ -63,9 +63,6 @@ class NonCrossingPartition:
         normalized = tuple(sorted(tuple(sorted(b)) for b in blocks))
         return NonCrossingPartition(n, normalized)
 
-    def __str__(self) -> str:
-        return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
-
 
 def _descending_cycles(n: int, blocks) -> Perm:
     # Each point of an increasing block maps to its cyclic predecessor.

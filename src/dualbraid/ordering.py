@@ -18,7 +18,7 @@ def cmp_rotating(u: BandWord, v: BandWord) -> OrderResult:
     if u.n != v.n:
         raise ValueError("strand count mismatch")
     ku, kv = rotating_key(u), rotating_key(v)
-    return OrderResult.of((ku > kv) - (ku < kv))
+    return OrderResult((ku > kv) - (ku < kv))
 
 
 def rotating_key(w: BandWord):

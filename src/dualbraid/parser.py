@@ -44,7 +44,8 @@ def parse_word(text: str, n: int) -> BandWord | ArtinWord:
         m = _BAND_RE.match(token)
         if m:
             p, q = int(m.group(1)), int(m.group(2))
-            _check_band(p, q, n, pos)
+            if not (1 <= p < q <= n):
+                raise ParseError(f"a({p},{q}) out of range for {n} strands", pos)
             band_letters.append((p, q))
             kinds.add("band")
             continue
@@ -91,9 +92,3 @@ def parse_artin_word(text: str, n: int) -> ArtinWord:
     """Parse as an Artin word, coercing band letters through their expansion."""
     word = parse_word(text, n)
     return word if isinstance(word, ArtinWord) else band_to_artin(word)
-
-
-def _check_band(p: int, q: int, n: int, pos: int) -> None:
-    if not (1 <= p < q <= n):
-        raise ParseError(f"a({p},{q}) out of range for {n} strands", pos)
-

@@ -50,14 +50,13 @@ def _restrict(simple: ncp.Perm) -> ncp.Perm:
 
 
 def _split(n: int, factors: tuple[ncp.Perm, ...]) -> tuple[tuple[ncp.Perm, ...], ...]:
-    entries = []
+    factors, entries = list(factors), []
     while True:
-        part, factors = garside._split_tail(n, factors, n - 1)
-        entries.append(tuple(map(_restrict, part)))
+        entries.append(tuple(map(_restrict, garside._split_tail(n, factors, n - 1))))
         if not factors:
             return tuple(reversed(entries))
         # phi^-1 is an automorphism, so it maps a normal form to a normal form.
-        factors = tuple(ncp.rotate(f, -1) for f in factors)
+        factors[:] = [ncp.rotate(f, -1) for f in factors]
 
 
 def splitting(w: BandWord) -> Splitting:

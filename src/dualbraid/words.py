@@ -26,10 +26,6 @@ class OrderResult(enum.Enum):
     EQUAL = 0
     GREATER = 1
 
-    @staticmethod
-    def of(diff: int) -> "OrderResult":
-        return OrderResult(0 if diff == 0 else (1 if diff > 0 else -1))
-
 
 class BandLetter(NamedTuple):
     """The band generator a(p,q), crossing strands p and q in front."""
@@ -140,7 +136,6 @@ def _tables(n: int) -> tuple[dict, dict, list, dict, dict, dict]:
 
 
 band_word = BandWord  # from any iterable of (p, q) pairs
-artin_word = ArtinWord  # from any iterable of (i, sign) pairs
 
 
 def phi_letter(n: int, k: int, letter: BandLetter) -> BandLetter:

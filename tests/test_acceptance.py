@@ -21,8 +21,8 @@ from dualbraid.ordering import (
 )
 from dualbraid.rotating import is_ladder, last_letter, rnf, separator, splitting
 from dualbraid.words import (
+    ArtinWord,
     BandWord,
-    artin_word,
     band_to_artin,
     band_word,
     delta_word,
@@ -48,7 +48,7 @@ def report(number, ok, detail):
 
 
 def _key_verdict(ku, kv):
-    return OrderResult.of((ku > kv) - (ku < kv))
+    return OrderResult((ku > kv) - (ku < kv))
 
 
 def test_criterion_1_ordering_equivalence(corpus3, corpus4):
@@ -186,7 +186,7 @@ def test_criterion_7_oracle_self_consistency(corpus3, corpus4):
             (rng.randint(1, n - 1), rng.choice((1, -1)))
             for _ in range(rng.randint(0, 40))
         ]
-        words.append(artin_word(n, letters))
+        words.append(ArtinWord(n, letters))
     for w in words:
         try:
             reduced = handle_reduce(w)

@@ -20,7 +20,6 @@ from dualbraid.words import (
     ArtinWord,
     BandLetter,
     BandWord,
-    artin_word,
     band_to_artin,
     band_word,
     delta_word,
@@ -47,7 +46,7 @@ def artin_words(max_n=8, max_len=30):
     return st.integers(2, max_n).flatmap(
         lambda n: st.lists(
             st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1])), max_size=max_len
-        ).map(lambda ls: artin_word(n, ls))
+        ).map(lambda ls: ArtinWord(n, ls))
     )
 
 
@@ -119,7 +118,7 @@ def test_artin_words_accept_exactly_the_valid_letters(n):
         if sign in (1, -1):
             token = f"s{i}" if sign > 0 else f"s{i}^-1"
             if expect is None:
-                assert parse_word(token, n) == artin_word(n, [(i, sign)])
+                assert parse_word(token, n) == ArtinWord(n, [(i, sign)])
             else:
                 with pytest.raises(ParseError) as info:
                     parse_word(token, n)
@@ -136,13 +135,13 @@ def test_word_equality_and_hash_do_not_depend_on_the_container():
     with pytest.raises(ValueError, match=r"letter a\(2,1\) is invalid on 3 strands"):
         BandWord(3, ((2, 1),))
     artin = ArtinWord(3, [ArtinLetter(1, 1)])
-    assert artin == artin_word(3, [(1, 1)])
-    assert hash(artin) == hash(artin_word(3, [(1, 1)]))
+    assert artin == ArtinWord(3, [(1, 1)])
+    assert hash(artin) == hash(ArtinWord(3, [(1, 1)]))
 
 
 def test_artin_words_intern_plain_pairs():
     plain = ArtinWord(3, ((1, 1), (2, -1)))
-    assert str(plain) == str(artin_word(3, [(1, 1), (2, -1)])) == "s1 s2^-1"
+    assert str(plain) == str(ArtinWord(3, [(1, 1), (2, -1)])) == "s1 s2^-1"
     assert plain.letters[0].i == 1 and plain.letters[1].sign == -1
     assert all(type(letter) is ArtinLetter for letter in plain.letters)
     assert ArtinWord(3, [[2, -1]]).letters[0] is plain.letters[1]
@@ -150,7 +149,7 @@ def test_artin_words_intern_plain_pairs():
 
 def test_free_reduce_takes_letters_as_plain_pairs():
     w = ArtinWord(3, ((1, 1), (2, 1), (2, -1), (1, -1), (2, -1)))
-    assert free_reduce(w) == artin_word(3, [(2, -1)])
+    assert free_reduce(w) == ArtinWord(3, [(2, -1)])
     assert type(free_reduce(w).letters[0]) is ArtinLetter
 
 
@@ -213,7 +212,7 @@ def test_handle_reduce_returns_interned_letters():
     expansion = band_to_artin(band_word(4, [(1, 4)]))
     interned = {letter: letter for letter in expansion.letters + invert(expansion).letters}
     assert len(interned) == 6
-    reduced = handle_reduce(artin_word(4, [(2, 1), (1, 1), (3, -1), (2, -1), (3, 1), (1, -1)]))
+    reduced = handle_reduce(ArtinWord(4, [(2, 1), (1, 1), (3, -1), (2, -1), (3, 1), (1, -1)]))
     assert reduced.letters
     assert all(interned[letter] is letter for letter in reduced.letters)
 

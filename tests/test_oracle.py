@@ -16,7 +16,7 @@ from dualbraid.oracle import (
 )
 from dualbraid.ordering import OrderResult
 from dualbraid.rotating import separator
-from dualbraid.words import ArtinWord, artin_word, band_to_artin, band_word, invert
+from dualbraid.words import ArtinWord, band_to_artin, band_word, invert
 
 
 def artin_words(max_n=6, max_len=30):
@@ -24,7 +24,7 @@ def artin_words(max_n=6, max_len=30):
         lambda n: st.lists(
             st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1])),
             max_size=max_len,
-        ).map(lambda ls: artin_word(n, ls))
+        ).map(lambda ls: ArtinWord(n, ls))
     )
 
 
@@ -50,21 +50,21 @@ def rescanning_reduce(w: ArtinWord) -> ArtinWord:
         replacement = []
         for j, f in letters[s + 1 : t]:
             replacement += [(i - 1, -e), (i, f), (i - 1, e)] if j == i - 1 else [(j, f)]
-        current = free_reduce(artin_word(w.n, letters[:s] + tuple(replacement) + letters[t + 1 :]))
+        current = free_reduce(ArtinWord(w.n, letters[:s] + tuple(replacement) + letters[t + 1 :]))
     return current
 
 
 def test_free_reduce_examples():
-    assert free_reduce(artin_word(3, [(1, 1), (1, -1)])) == ArtinWord(3)
-    w = artin_word(3, [(1, 1), (2, 1)])
+    assert free_reduce(ArtinWord(3, [(1, 1), (1, -1)])) == ArtinWord(3)
+    w = ArtinWord(3, [(1, 1), (2, 1)])
     assert free_reduce(w) == w
-    assert free_reduce(artin_word(3, [(2, 1), (1, 1), (1, -1), (2, -1)])) == ArtinWord(3)
+    assert free_reduce(ArtinWord(3, [(2, 1), (1, 1), (1, -1), (2, -1)])) == ArtinWord(3)
 
 
 def test_handle_reduce_basic_example():
     # s2^-1 s1 s2 reduces to the positive-at-top word s1 s2 s1^-1.
-    reduced = handle_reduce(artin_word(3, [(2, -1), (1, 1), (2, 1)]))
-    assert reduced == artin_word(3, [(1, 1), (2, 1), (1, -1)])
+    reduced = handle_reduce(ArtinWord(3, [(2, -1), (1, 1), (2, 1)]))
+    assert reduced == ArtinWord(3, [(1, 1), (2, 1), (1, -1)])
 
 
 def test_handle_reduce_empty():
@@ -78,10 +78,10 @@ def test_handle_reduce_kills_band_commutators():
 
 
 def test_sigma_class_examples():
-    assert sigma_class(artin_word(3, [(1, 1), (2, 1), (1, -1)])).kind is SigmaKind.POSITIVE
-    assert sigma_class(artin_word(3, [(1, 1), (2, 1), (1, -1)])).index == 2
+    assert sigma_class(ArtinWord(3, [(1, 1), (2, 1), (1, -1)])).kind is SigmaKind.POSITIVE
+    assert sigma_class(ArtinWord(3, [(1, 1), (2, 1), (1, -1)])).index == 2
     assert sigma_class(ArtinWord(3)).kind is SigmaKind.TRIVIAL
-    verdict = sigma_class(artin_word(3, [(2, -1), (1, 1)]))
+    verdict = sigma_class(ArtinWord(3, [(2, -1), (1, 1)]))
     assert verdict.kind is SigmaKind.NEGATIVE and verdict.index == 2
 
 

@@ -14,7 +14,7 @@ from dualbraid.parser import (
     parse_band_word,
     parse_word,
 )
-from dualbraid.words import ArtinWord, BandWord, artin_word, band_word
+from dualbraid.words import ArtinWord, BandWord, band_word
 
 
 def test_parse_band_examples():
@@ -25,8 +25,8 @@ def test_parse_band_examples():
 
 
 def test_parse_artin_examples():
-    assert parse_word("s2^-1 s1 s2", 3) == artin_word(3, [(2, -1), (1, 1), (2, 1)])
-    assert parse_artin_word("a(1,3)", 3) == artin_word(3, [(1, 1), (2, 1), (1, -1)])
+    assert parse_word("s2^-1 s1 s2", 3) == ArtinWord(3, [(2, -1), (1, 1), (2, 1)])
+    assert parse_artin_word("a(1,3)", 3) == ArtinWord(3, [(1, 1), (2, 1), (1, -1)])
 
 
 def test_parse_band_word_coerces_positive_artin():
@@ -85,7 +85,7 @@ def test_band_round_trip(data):
 )
 def test_artin_round_trip(data):
     n, letters = data
-    w = artin_word(n, letters)
+    w = ArtinWord(n, letters)
     if w.letters:
         assert parse_word(str(w), n) == w
     else:
@@ -254,9 +254,9 @@ def test_cli_oracle_overflow_exit_code(argv, capsys, monkeypatch):
 def test_cli_oracle_failure_exit_code(capsys, monkeypatch):
     # A reduction that leaves mixed signs at the top index is an oracle
     # failure: a typed error and exit 2, not a traceback.
-    monkeypatch.setattr(oracle, "handle_reduce", lambda w, max_length=10**6: artin_word(3, [(2, 1), (2, -1)]))
+    monkeypatch.setattr(oracle, "handle_reduce", lambda w, max_length=10**6: ArtinWord(3, [(2, 1), (2, -1)]))
     with pytest.raises(oracle.OracleError):
-        oracle.sigma_class(artin_word(3, [(1, 1)]))
+        oracle.sigma_class(ArtinWord(3, [(1, 1)]))
     assert cli.main(["oracle", "-n", "3", "s1"]) == 2
     assert capsys.readouterr().err.startswith("error: mixed signs")
 
@@ -338,7 +338,7 @@ def test_reduction_ceiling_is_enforced(capsys, monkeypatch):
     # Reducing the handle s2 s1 s1 s2^-1 yields six letters, past a ceiling of 3.
     monkeypatch.setattr(oracle, "MAX_LENGTH", 3)
     with pytest.raises(oracle.ReductionOverflow, match="word grew past 3 letters"):
-        oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (1, 1), (2, -1)]))
+        oracle.handle_reduce(ArtinWord(3, [(2, 1), (1, 1), (1, 1), (2, -1)]))
     assert cli.main(["oracle", "-n", "3", "s2 s1 s1 s2^-1"]) == 2
     assert capsys.readouterr().err.strip() == "error: word grew past 3 letters"
 
@@ -347,11 +347,11 @@ def test_reduction_ceiling_holds_at_entry_and_during_reduction(capsys, monkeypat
     # s1^5 is free- and handle-reduced already; its length alone is past 3.
     monkeypatch.setattr(oracle, "MAX_LENGTH", 3)
     with pytest.raises(oracle.ReductionOverflow, match="word grew past 3 letters"):
-        oracle.sigma_class(artin_word(3, [(1, 1)] * 5))
+        oracle.sigma_class(ArtinWord(3, [(1, 1)] * 5))
     assert cli.main(["oracle", "-n", "3", "s1 s1 s1 s1 s1"]) == 2
     assert capsys.readouterr().err.strip() == "error: word grew past 3 letters"
     # s3 s2 s1 s2 s3^-1 fits a ceiling of 6 and grows to seven letters.
-    growing = artin_word(4, [(3, 1), (2, 1), (1, 1), (2, 1), (3, -1)])
+    growing = ArtinWord(4, [(3, 1), (2, 1), (1, 1), (2, 1), (3, -1)])
     monkeypatch.setattr(oracle, "MAX_LENGTH", 6)
     with pytest.raises(oracle.ReductionOverflow, match="word grew past 6 letters"):
         oracle.handle_reduce(growing)
@@ -362,14 +362,14 @@ def test_reduction_ceiling_holds_at_entry_and_during_reduction(capsys, monkeypat
 def test_reduction_step_budget_is_enforced(capsys, monkeypatch):
     # s2 s1 s2^-1 s2^-1 needs two handle removals, s2^-1 s1 s2 one.
     monkeypatch.setattr(oracle, "MAX_STEPS", 1)
-    assert oracle.handle_reduce(artin_word(3, [(2, -1), (1, 1), (2, 1)])) == artin_word(
+    assert oracle.handle_reduce(ArtinWord(3, [(2, -1), (1, 1), (2, 1)])) == ArtinWord(
         3, [(1, 1), (2, 1), (1, -1)]
     )
     with pytest.raises(oracle.ReductionOverflow, match="more than 1 handle removals"):
-        oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (2, -1), (2, -1)]))
+        oracle.handle_reduce(ArtinWord(3, [(2, 1), (1, 1), (2, -1), (2, -1)]))
     assert cli.main(["oracle", "-n", "3", "s2 s1 s2^-1 s2^-1"]) == 2
     assert capsys.readouterr().err.strip() == "error: more than 1 handle removals"
     monkeypatch.setattr(oracle, "MAX_STEPS", 2)
-    assert oracle.handle_reduce(artin_word(3, [(2, 1), (1, 1), (2, -1), (2, -1)])) == artin_word(
+    assert oracle.handle_reduce(ArtinWord(3, [(2, 1), (1, 1), (2, -1), (2, -1)])) == ArtinWord(
         3, [(1, -1), (1, -1), (2, 1), (1, 1)]
     )

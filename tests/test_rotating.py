@@ -21,9 +21,9 @@ from dualbraid.rotating import (
     splitting_tree,
 )
 from dualbraid.words import (
+    ArtinWord,
     BandLetter,
     BandWord,
-    artin_word,
     band_word,
     delta_word,
     phi,
@@ -330,9 +330,9 @@ def test_splitting_entries_are_ladders():
 
 
 def test_dangerous_braid_examples():
-    assert dangerous_braid([1], 4) == artin_word(4, [(2, -1), (1, -1)])
-    assert dangerous_braid([], 4) == artin_word(4, [])
-    assert dangerous_braid([2, 1], 4) == artin_word(4, [(2, -1), (2, -1), (1, -1)])
+    assert dangerous_braid([1], 4) == ArtinWord(4, [(2, -1), (1, -1)])
+    assert dangerous_braid([], 4) == ArtinWord(4, [])
+    assert dangerous_braid([2, 1], 4) == ArtinWord(4, [(2, -1), (2, -1), (1, -1)])
     with pytest.raises(ValueError):
         dangerous_braid([1, 2], 4)
 

@@ -4,7 +4,6 @@ from dualbraid.words import (
     ArtinWord,
     BandLetter,
     BandWord,
-    artin_word,
     band_to_artin,
     band_word,
     delta_word,
@@ -24,11 +23,11 @@ def test_band_letter_validation():
 
 
 def test_band_to_artin_generator_is_sigma():
-    assert band_to_artin(band_word(3, [(1, 2)])) == artin_word(3, [(1, 1)])
+    assert band_to_artin(band_word(3, [(1, 2)])) == ArtinWord(3, [(1, 1)])
 
 
 def test_band_to_artin_conjugate_expansion():
-    assert band_to_artin(band_word(3, [(1, 3)])) == artin_word(
+    assert band_to_artin(band_word(3, [(1, 3)])) == ArtinWord(
         3, [(1, 1), (2, 1), (1, -1)]
     )
 
@@ -66,8 +65,8 @@ def test_delta_word_examples():
 
 
 def test_invert_is_reversal_with_sign_flip():
-    w = artin_word(4, [(1, 1), (3, -1), (2, 1)])
-    assert invert(w) == artin_word(4, [(2, -1), (3, 1), (1, -1)])
+    w = ArtinWord(4, [(1, 1), (3, -1), (2, 1)])
+    assert invert(w) == ArtinWord(4, [(2, -1), (3, 1), (1, -1)])
     assert invert(invert(w)) == w
 
 
