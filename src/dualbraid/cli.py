@@ -148,7 +148,7 @@ def _cmd_enum_verify(args) -> int:
     # (splittings need n >= 3).  The trivial braid, enumerated first, splits
     # as one empty entry, so keys[0][1] is the key of a trivial head.
     for w, key in zip(elements, keys):
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         checked += 1
         if not garside.equal(rotating.rnf(w), w):

@@ -88,12 +88,11 @@ def right_quotient(w: BandWord, g: BandWord) -> BandWord:
     return quotient.word()
 
 
-def _split_tail(n: int, factors: list[Perm], m: int) -> tuple[Perm, ...]:
-    # Returns the tail; the remainder is left in factors.
-    delta_m = (m, *range(1, m), *range(m + 1, n + 1))  # the descending cycle on {1..m}
-    one = ncp.trivial_simple(n)
+def _split_tail(factors: list[Perm], target: Perm) -> tuple[Perm, ...]:
+    # Divides off the tail under target, a simple; the remainder is left in factors.
+    one = ncp.trivial_simple(len(target))
     collected = []
-    while factors and (s := ncp.meet(factors[-1], delta_m)) != one:
+    while factors and (s := ncp.meet(factors[-1], target)) != one:
         _append(factors, ncp.right_quotient(factors.pop(), s))
         collected.append(s)
     return tuple(reversed(collected))
@@ -103,17 +102,17 @@ def split_tail(nf: GreedyNF, m: int) -> tuple[GreedyNF, GreedyNF]:
     """Return (tail, remainder), nf = remainder * tail, the tail maximal in the m-strand submonoid.
 
     A generator a(p,q) with q <= m right-divides the element iff it
-    refines s, the meet of the last factor with the partition whose one
-    nontrivial block is {1..m}; s is the maximal simple right divisor of
-    the tail.  The submonoid is closed under right quotients, so
-    tail(w) = tail(w / s) * s; dividing such meets off until one is
-    trivial collects the tail, and the meets, the last collected first,
-    are its normal form.
+    refines s, the meet of the last factor with delta_m, the submonoid's
+    Garside element (the partition whose one nontrivial block is {1..m});
+    s is the maximal simple right divisor of the tail.  The submonoid is
+    closed under right quotients, so tail(w) = tail(w / s) * s; dividing
+    such meets off until one is trivial collects the tail, and the meets,
+    the last collected first, are its normal form.
     """
     if not (2 <= m < nf.n):
         raise ValueError("m must satisfy 2 <= m < n")
-    factors = list(nf.factors)
-    return GreedyNF(nf.n, _split_tail(nf.n, factors, m)), GreedyNF(nf.n, tuple(factors))
+    factors, delta_m = list(nf.factors), (m, *range(1, m), *range(m + 1, nf.n + 1))
+    return GreedyNF(nf.n, _split_tail(factors, delta_m)), GreedyNF(nf.n, tuple(factors))
 
 
 def tail(w: BandWord, m: int) -> BandWord:

@@ -158,7 +158,7 @@ def meet(p: Perm, q: Perm) -> Perm:
 
 def _is_simple(perm: Perm) -> bool:
     # perm lies below the Garside element in absolute order.
-    return length(perm) + length(compose(inverse(perm), full_simple(len(perm)))) == len(perm) - 1
+    return length(perm) + length(right_complement(perm)) == len(perm) - 1
 
 
 @lru_cache(maxsize=CACHE_SIZE)

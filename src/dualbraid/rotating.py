@@ -50,13 +50,14 @@ def _restrict(simple: ncp.Perm) -> ncp.Perm:
 
 
 def _split(n: int, factors: tuple[ncp.Perm, ...]) -> tuple[tuple[ncp.Perm, ...], ...]:
-    factors, entries = list(factors), []
+    # phi is an automorphism: rotate each round's target and meets, never the remainder.
+    factors, entries, delta, r = list(factors), [], (n - 1, *range(1, n - 1), n), 0
     while True:
-        entries.append(tuple(map(_restrict, garside._split_tail(n, factors, n - 1))))
+        tail = garside._split_tail(factors, ncp.rotate(delta, r))
+        entries.append(tuple(_restrict(ncp.rotate(s, -r)) for s in tail))
         if not factors:
             return tuple(reversed(entries))
-        # phi^-1 is an automorphism, so it maps a normal form to a normal form.
-        factors[:] = [ncp.rotate(f, -1) for f in factors]
+        r = (r + 1) % n
 
 
 def splitting(w: BandWord) -> Splitting:

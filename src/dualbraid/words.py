@@ -87,9 +87,6 @@ class BandWord(_Word):
     # Its own entry, through which benchmarks/layertrace.py counts the band words built.
     __post_init__ = _Word.__post_init__
 
-    def is_trivial_word(self) -> bool:
-        return not self.letters
-
     def _invalid(self, p, q) -> str:
         return f"letter a({p},{q}) is invalid on {self.n} strands"
 

@@ -155,18 +155,18 @@ def test_criterion_5_successor_and_initial_segment(corpus3):
 def test_criterion_6_last_letters_and_ladders(corpus4):
     failures = 0
     for w in corpus4:
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         split = splitting(w)
         b = split.breadth
         for k in range(2, b + 1):
             entry = split.entries[b - k]
-            if k >= 3 and entry.is_trivial_word():
+            if k >= 3 and not entry.letters:
                 failures += 1
-            if not entry.is_trivial_word() and last_letter(entry).q != 3:
+            if entry.letters and last_letter(entry).q != 3:
                 failures += 1
         checks = list(range(b - 1, 2, -1))
-        if b >= 3 and not split.entries[b - 2].is_trivial_word():
+        if b >= 3 and split.entries[b - 2].letters:
             checks.append(2)
         for k in checks:
             entry, above = split.entries[b - k], split.entries[b - k - 1]

@@ -178,7 +178,7 @@ def test_cli_enum_verify_flags_a_trivial_splitting_head(capsys, monkeypatch):
     # At n=3 a head is a power of a(1,2); prepend an empty one to every tree.
     def padded(w, original=rotating.splitting_tree):
         tree = original(w)
-        return tree if w.is_trivial_word() else (0, *tree)
+        return tree if not w.letters else (0, *tree)
 
     monkeypatch.setattr(rotating, "splitting_tree", padded)
     assert cli.main(["enum-verify", "-n", "3", "--max-length", "1"]) == 3

@@ -17,7 +17,6 @@ KEPT_WITHOUT_CALLER = {
     "ncp_to_perm": "converter of the exported NonCrossingPartition",
     "perm_to_ncp": "converter of the exported NonCrossingPartition",
     "left_quotient": "named by a per-layer metric in benchmarks/layertrace.py",
-    "right_complement": "named by a per-layer metric in benchmarks/layertrace.py",
     "invert": "kept for the Dehornoy order on all of B_n (ROADMAP item 18)",
 }
 

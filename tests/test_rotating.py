@@ -91,6 +91,40 @@ def test_splitting_forms_are_the_entries_normal_forms():
         assert split.forms == tuple(garside.gnf(entry) for entry in split.entries)
 
 
+def rotate_the_remainder_split(n, factors):
+    """The splitting by its definition: each round rotates the whole remainder by phi^-1."""
+    nf, entries = garside.GreedyNF(n, factors), []
+    while True:
+        tail, nf = garside.split_tail(nf, n - 1)
+        entries.append(tuple(s[:-1] for s in tail.factors))
+        if not nf.factors:
+            return tuple(reversed(entries))
+        nf = garside.GreedyNF(n, tuple(ncp.rotate(f, -1) for f in nf.factors))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_split_matches_rotating_the_remainder(n):
+    # The output digests stop at 40 letters; these words reach 120.
+    rng = random.Random(n)
+    for length in (*range(10), *range(10, 121, 10)):
+        for _ in range(3):
+            w = band_word(n, [rng.choice(enumeration.generators(n)) for _ in range(length)])
+            factors = garside.gnf(w).factors
+            assert rotating._split(n, factors) == rotate_the_remainder_split(n, factors)
+
+
+def test_split_rotates_only_its_targets_and_meets(monkeypatch):
+    # One rotation per round for the target and one per extracted meet;
+    # rotating the remainder instead costs one per remaining factor per round.
+    rng = random.Random(7)
+    w = band_word(4, [rng.choice(enumeration.generators(4)) for _ in range(400)])
+    factors, rotate, calls = garside.gnf(w).factors, ncp.rotate, []
+    monkeypatch.setattr(ncp, "rotate", lambda simple, k: calls.append(k) or rotate(simple, k))
+    entries = rotating._split(4, factors)
+    assert len(entries) > 100
+    assert len(calls) <= len(entries) + sum(map(len, entries))
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_breadth_examples(n):
     assert breadth(band_word(n, [(n - 1, n)])) == 2
@@ -100,22 +134,22 @@ def test_breadth_examples(n):
 
 def test_splitting_conditions_on_enumerated_elements():
     for w in enumeration.enumerate_elements(4, 3):
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         split = splitting(w)
         entries = split.entries
-        assert not entries[0].is_trivial_word() or split.breadth == 1
+        assert entries[0].letters or split.breadth == 1
         assert garside.equal(reconstruct(4, entries), w)
         for k in range(1, split.breadth):
             head = phi(1, reconstruct(4, entries[: split.breadth - k]))
-            assert garside.tail(head, 3).is_trivial_word()
+            assert not garside.tail(head, 3).letters
 
 
 def test_splitting_uniqueness_brute_force_three_strands():
     # Any exponent sequence satisfying the reconstruction and trivial-tail
     # conditions must coincide with the computed splitting.
     for w in enumeration.enumerate_elements(3, 5):
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         length = len(w)
         target = garside.gnf(w)
@@ -130,7 +164,7 @@ def test_splitting_uniqueness_brute_force_three_strands():
                 ok = True
                 for k in range(1, b):
                     head = phi(1, reconstruct(3, entries[: b - k]))
-                    if not garside.tail(head, 2).is_trivial_word():
+                    if garside.tail(head, 2).letters:
                         ok = False
                         break
                 if ok:
@@ -225,15 +259,15 @@ def test_subtree_memo_is_bounded_and_empty_at_import():
 
 def test_last_letter_property_on_enumerated_splittings():
     for w in enumeration.enumerate_elements(4, 3):
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         split = splitting(w)
         b = split.breadth
         for k in range(2, b + 1):
             entry = split.entries[b - k]
             if k >= 3:
-                assert not entry.is_trivial_word()
-            if not entry.is_trivial_word():
+                assert entry.letters
+            if entry.letters:
                 assert last_letter(entry).q == 3
 
 
@@ -311,14 +345,14 @@ def test_is_ladder_matches_its_definition():
 
 def test_splitting_entries_are_ladders():
     for w in enumeration.enumerate_elements(4, 4):
-        if w.is_trivial_word():
+        if not w.letters:
             continue
         split = splitting(w)
         b = split.breadth
         if b < 3:
             continue
         checks = list(range(b - 1, 2, -1))
-        if not split.entries[b - 2].is_trivial_word():
+        if split.entries[b - 2].letters:
             checks.append(2)
         for k in checks:
             entry, above = split.entries[b - k], split.entries[b - k - 1]
